@@ -13,7 +13,9 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
+
+from ..core.records import Record
 
 #: Paper-grounded boot times, in simulated seconds.  The Edison runs
 #: Yocto off flash and is up in single-digit seconds; an R620 POSTs
@@ -87,7 +89,7 @@ class ActuationConfig:
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig:
+class AutoscaleConfig(Record):
     """Top-level switch; off by default (static fleet, bit-identical)."""
 
     enabled: bool = False
@@ -108,34 +110,3 @@ class AutoscaleConfig:
     def predictive(cls, **overrides) -> "AutoscaleConfig":
         return cls(enabled=True,
                    policy=PolicyConfig(kind="predictive", **overrides))
-
-    # -- (de)serialisation, for the committed day plan -------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "enabled": self.enabled,
-            "policy": {
-                "kind": self.policy.kind,
-                "target_utilization": self.policy.target_utilization,
-                "high_utilization": self.policy.high_utilization,
-                "low_utilization": self.policy.low_utilization,
-                "eval_interval_s": self.policy.eval_interval_s,
-                "metric_window_s": self.policy.metric_window_s,
-                "cooldown_s": self.policy.cooldown_s,
-                "history_s": self.policy.history_s,
-                "lookahead_s": self.policy.lookahead_s,
-                "headroom": self.policy.headroom,
-            },
-            "actuation": {
-                "boot_s": dict(self.actuation.boot_s),
-                "drain_poll_s": self.actuation.drain_poll_s,
-                "drain_timeout_s": self.actuation.drain_timeout_s,
-                "min_active": self.actuation.min_active,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AutoscaleConfig":
-        return cls(enabled=data["enabled"],
-                   policy=PolicyConfig(**data.get("policy", {})),
-                   actuation=ActuationConfig(**data.get("actuation", {})))

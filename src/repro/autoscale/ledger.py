@@ -13,19 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..core.records import Record
 from ..energy.account import ScalingCosts
 
 
 @dataclass(frozen=True)
-class ScalingAction:
+class ScalingAction(Record):
     """One actuation step, timestamped on the simulation clock."""
 
     time: float
     action: str      # "boot" | "serve" | "drain" | "off"
     node: str
-
-    def to_dict(self) -> Dict:
-        return {"time": self.time, "action": self.action, "node": self.node}
 
 
 class AutoscaleLedger:

@@ -18,31 +18,22 @@ itself cost (boot energy, drained-but-idle energy, the action log).
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.records import Record, Report, p95
 from ..tco.model import amortized_hardware_usd, energy_cost_usd
 from ..web.loadshape import ShapedLoad
 from .config import AutoscaleConfig
 from .deployment import HybridWebDeployment
 
-#: Seed of the committed day (CI smoke + docs), same spirit as
+#: Seed of the committed day (acceptance suite + docs), same spirit as
 #: repro.resilience's GRAY_SEED.
 DAY_SEED = 77
 
 
-def _p95(delays: List[float]) -> Optional[float]:
-    if not delays:
-        return None
-    ordered = sorted(delays)
-    index = max(0, math.ceil(0.95 * len(ordered)) - 1)
-    return ordered[index]
-
-
 @dataclass(frozen=True)
-class DayPlan:
+class DayPlan(Record):
     """One committed, seeded diurnal + flash-crowd experiment."""
 
     name: str
@@ -66,43 +57,13 @@ class DayPlan:
         if not self.autoscale.enabled:
             raise ValueError("the hybrid arm needs an enabled autoscaler")
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "shape": self.shape.to_dict(),
-                "duration_s": self.duration_s, "seed": self.seed,
-                "calls": self.calls, "edison_scale": self.edison_scale,
-                "dell_scale": self.dell_scale,
-                "hybrid_edison_web": self.hybrid_edison_web,
-                "hybrid_dell_web": self.hybrid_dell_web,
-                "hybrid_cache": self.hybrid_cache,
-                "autoscale": self.autoscale.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DayPlan":
-        return cls(name=data["name"],
-                   shape=ShapedLoad.from_dict(data["shape"]),
-                   duration_s=data["duration_s"], seed=data["seed"],
-                   calls=data["calls"],
-                   edison_scale=data["edison_scale"],
-                   dell_scale=data["dell_scale"],
-                   hybrid_edison_web=data["hybrid_edison_web"],
-                   hybrid_dell_web=data["hybrid_dell_web"],
-                   hybrid_cache=data["hybrid_cache"],
-                   autoscale=AutoscaleConfig.from_dict(data["autoscale"]))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "DayPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 @dataclass(frozen=True)
-class AutoscaleArm:
+class AutoscaleArm(Record):
     """One provisioning strategy's day, fully accounted."""
+
+    json_tail = ("total_usd", "work_per_joule", "boot_j", "drain_j",
+                 "counters", "actions")
 
     label: str
     platform: str
@@ -135,55 +96,16 @@ class AutoscaleArm:
     def total_usd(self) -> float:
         return self.hardware_usd + self.energy_usd
 
-    def to_dict(self) -> Dict:
-        return {"label": self.label, "platform": self.platform,
-                "nodes": dict(self.nodes), "seconds": self.seconds,
-                "joules": self.joules, "ok_calls": self.ok_calls,
-                "errors": self.errors,
-                "client_failures": self.client_failures,
-                "availability": self.availability,
-                "availability_met": self.availability_met,
-                "p95_s": self.p95_s, "mean_power_w": self.mean_power_w,
-                "hardware_usd": self.hardware_usd,
-                "energy_usd": self.energy_usd,
-                "total_usd": self.total_usd,
-                "work_per_joule": self.work_per_joule,
-                "boot_j": self.boot_j, "drain_j": self.drain_j,
-                "counters": dict(self.counters),
-                "actions": list(self.actions)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AutoscaleArm":
-        return cls(label=data["label"], platform=data["platform"],
-                   nodes=dict(data["nodes"]), seconds=data["seconds"],
-                   joules=data["joules"], ok_calls=data["ok_calls"],
-                   errors=data["errors"],
-                   client_failures=data["client_failures"],
-                   availability=data["availability"],
-                   availability_met=data["availability_met"],
-                   p95_s=data["p95_s"],
-                   mean_power_w=data["mean_power_w"],
-                   hardware_usd=data["hardware_usd"],
-                   energy_usd=data["energy_usd"],
-                   boot_j=data.get("boot_j", 0.0),
-                   drain_j=data.get("drain_j", 0.0),
-                   counters=dict(data.get("counters", {})),
-                   actions=tuple(data.get("actions", ())))
-
 
 @dataclass(frozen=True)
-class AutoscaleReport:
+class AutoscaleReport(Report):
     """The three arms side by side, with the dominance verdict."""
+
+    arm_key = ("label",)
 
     plan_name: str
     detail: str
     arms: Tuple[AutoscaleArm, ...]
-
-    def arm(self, label: str) -> AutoscaleArm:
-        for arm in self.arms:
-            if arm.label == label:
-                return arm
-        raise KeyError(f"no arm labelled {label!r}")
 
     @property
     def hybrid(self) -> AutoscaleArm:
@@ -207,15 +129,7 @@ class AutoscaleReport:
         return out
 
     def to_dict(self) -> Dict:
-        return {"plan_name": self.plan_name, "detail": self.detail,
-                "arms": [arm.to_dict() for arm in self.arms],
-                "dominated_arms": self.dominated_arms()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AutoscaleReport":
-        return cls(plan_name=data["plan_name"], detail=data["detail"],
-                   arms=tuple(AutoscaleArm.from_dict(a)
-                              for a in data["arms"]))
+        return super().to_dict() | {"dominated_arms": self.dominated_arms()}
 
     def lines(self) -> List[str]:
         """The three-arm table, CLI/docs-ready."""
@@ -296,7 +210,7 @@ def _build_arm(label: str, deployment, telemetry, level,
         client_failures=slo.client_failures,
         availability=slo.availability,
         availability_met=slo.availability_met,
-        p95_s=_p95(delays),
+        p95_s=p95(delays),
         mean_power_w=level.mean_power_w,
         hardware_usd=amortized_hardware_usd(
             _fleet_cost_usd(deployment.cluster), duration),

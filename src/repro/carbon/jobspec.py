@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Tuple
 
+from ..core.records import Record
 from ..mapreduce.config import HadoopConfig, default_config
 from ..mapreduce.costs import JobCosts
 from ..mapreduce.jobs.terasort import MAP_MEM, REDUCE_MEM, TERASORT_COSTS
@@ -76,7 +77,7 @@ CARBON_JOB_KINDS: Dict[str, Callable[[str], Tuple[JobSpec, HadoopConfig]]] \
 
 
 @dataclass(frozen=True)
-class CarbonJobSpec:
+class CarbonJobSpec(Record):
     """One deferrable job in the day's workload."""
 
     name: str
@@ -113,15 +114,3 @@ class CarbonJobSpec:
     def slack_s(self, platform: str) -> float:
         """Deadline slack beyond the estimated runtime."""
         return (self.deadline_s - self.release_s) - self.estimate(platform)
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "kind": self.kind,
-                "release_s": self.release_s, "deadline_s": self.deadline_s,
-                "est_s": dict(self.est_s)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonJobSpec":
-        return cls(name=data["name"], kind=data["kind"],
-                   release_s=data["release_s"],
-                   deadline_s=data["deadline_s"],
-                   est_s=dict(data.get("est_s", {})))

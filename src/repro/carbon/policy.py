@@ -25,9 +25,10 @@ committed plan); :func:`make_policy` instantiates the behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from ..autoscale.config import DEFAULT_BOOT_S
+from ..core.records import Record
 from .jobspec import CarbonJobSpec
 from .trace import SignalTrace
 
@@ -35,7 +36,7 @@ POLICY_KINDS = ("no-wait", "edd", "threshold", "suspend-resume")
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Record):
     """Serialisable configuration of one scheduling arm."""
 
     kind: str = "no-wait"
@@ -63,20 +64,6 @@ class PolicySpec:
         for platform, boot in self.boot_s.items():
             if boot < 0:
                 raise ValueError(f"boot_s[{platform!r}] must be >= 0")
-
-    def to_dict(self) -> Dict:
-        return {"kind": self.kind, "threshold_pct": self.threshold_pct,
-                "safety": self.safety,
-                "check_interval_s": self.check_interval_s,
-                "boot_s": dict(self.boot_s)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PolicySpec":
-        return cls(kind=data["kind"],
-                   threshold_pct=data.get("threshold_pct", 60.0),
-                   safety=data.get("safety", 1.2),
-                   check_interval_s=data.get("check_interval_s", 20.0),
-                   boot_s=dict(data.get("boot_s", DEFAULT_BOOT_S)))
 
 
 class SchedulingPolicy:

@@ -14,17 +14,17 @@ so the report can answer the two questions the paper could not ask:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.records import Record, Report
 from .jobspec import CarbonJobSpec
 from .ledger import CarbonLedger
 from .policy import POLICY_KINDS, PolicySpec
 from .scheduler import CarbonScheduler
 from .trace import SignalTrace
 
-#: Seed of the committed day (CI smoke + docs), same spirit as
+#: Seed of the committed day (acceptance suite + docs), same spirit as
 #: repro.autoscale's DAY_SEED and repro.resilience's GRAY_SEED.
 DAY_SEED = 20260809
 
@@ -33,8 +33,11 @@ PLATFORMS = ("edison", "dell")
 
 
 @dataclass(frozen=True)
-class CarbonDayPlan:
+class CarbonDayPlan(Record):
     """One committed, seeded carbon day: jobs, signals, arms."""
+
+    #: The committed file's key order.
+    json_tail = ("seed", "intensity", "price", "slaves", "policies", "jobs")
 
     name: str
     day_s: float
@@ -58,6 +61,9 @@ class CarbonDayPlan:
         kinds = [p.kind for p in self.policies]
         if len(set(kinds)) != len(kinds):
             raise ValueError("duplicate policy kinds in one plan")
+        if "no-wait" not in kinds:
+            raise ValueError("a day needs the no-wait arm: every verdict "
+                             "is measured against it")
         for platform in PLATFORMS:
             if self.slaves.get(platform, 0) < 1:
                 raise ValueError(f"need slaves[{platform!r}] >= 1")
@@ -66,40 +72,9 @@ class CarbonDayPlan:
                 raise ValueError(f"job {job.name!r} deadline exceeds "
                                  "the day")
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "day_s": self.day_s,
-                "seed": self.seed,
-                "intensity": self.intensity.to_dict(),
-                "price": self.price.to_dict(),
-                "slaves": dict(self.slaves),
-                "policies": [p.to_dict() for p in self.policies],
-                "jobs": [j.to_dict() for j in self.jobs]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonDayPlan":
-        return cls(name=data["name"], day_s=data["day_s"],
-                   seed=data["seed"],
-                   intensity=SignalTrace.from_dict(data["intensity"]),
-                   price=SignalTrace.from_dict(data["price"]),
-                   slaves=dict(data["slaves"]),
-                   policies=tuple(PolicySpec.from_dict(p)
-                                  for p in data["policies"]),
-                   jobs=tuple(CarbonJobSpec.from_dict(j)
-                              for j in data["jobs"]))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CarbonDayPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 @dataclass(frozen=True)
-class CarbonArm:
+class CarbonArm(Record):
     """One (policy, platform) day, fully accounted."""
 
     policy: str
@@ -118,29 +93,6 @@ class CarbonArm:
     def label(self) -> str:
         return f"{self.policy}/{self.platform}"
 
-    def to_dict(self) -> Dict:
-        return {"policy": self.policy, "platform": self.platform,
-                "joules": self.joules, "grams_co2": self.grams_co2,
-                "energy_usd": self.energy_usd,
-                "wait_hours": self.wait_hours,
-                "deadline_misses": self.deadline_misses,
-                "suspensions": self.suspensions,
-                "suspended_s": self.suspended_s,
-                "records": list(self.records),
-                "actions": list(self.actions)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonArm":
-        return cls(policy=data["policy"], platform=data["platform"],
-                   joules=data["joules"], grams_co2=data["grams_co2"],
-                   energy_usd=data["energy_usd"],
-                   wait_hours=data["wait_hours"],
-                   deadline_misses=data["deadline_misses"],
-                   suspensions=data.get("suspensions", 0),
-                   suspended_s=data.get("suspended_s", 0.0),
-                   records=tuple(data.get("records", ())),
-                   actions=tuple(data.get("actions", ())))
-
     @classmethod
     def from_ledger(cls, policy: str, platform: str,
                     ledger: CarbonLedger) -> "CarbonArm":
@@ -156,32 +108,14 @@ class CarbonArm:
 
 
 @dataclass(frozen=True)
-class CarbonReport:
+class CarbonReport(Report):
     """All arms side by side, with the dominance and platform verdicts."""
+
+    arm_key = ("policy", "platform")
 
     plan_name: str
     detail: str
     arms: Tuple[CarbonArm, ...]
-
-    def arm(self, policy: str, platform: str) -> CarbonArm:
-        for arm in self.arms:
-            if arm.policy == policy and arm.platform == platform:
-                return arm
-        raise KeyError(f"no arm for policy {policy!r} on {platform!r}")
-
-    def platforms(self) -> List[str]:
-        seen: List[str] = []
-        for arm in self.arms:
-            if arm.platform not in seen:
-                seen.append(arm.platform)
-        return seen
-
-    def policies(self) -> List[str]:
-        seen: List[str] = []
-        for arm in self.arms:
-            if arm.policy not in seen:
-                seen.append(arm.policy)
-        return seen
 
     def dominating_policies(self, platform: str) -> List[str]:
         """Policies that beat no-wait on grams at zero deadline misses."""
@@ -229,19 +163,15 @@ class CarbonReport:
                 "edison_grams_saved": self.grams_saved("edison"),
                 "dell_grams_saved": self.grams_saved("dell")}
 
-    def to_dict(self) -> Dict:
-        return {"plan_name": self.plan_name, "detail": self.detail,
-                "arms": [arm.to_dict() for arm in self.arms],
-                "dominating_policies": {
-                    platform: self.dominating_policies(platform)
-                    for platform in self.platforms()},
-                "platform_delta": self.platform_delta()}
+    def platforms(self) -> List[str]:
+        return list(dict.fromkeys(arm.platform for arm in self.arms))
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CarbonReport":
-        return cls(plan_name=data["plan_name"], detail=data["detail"],
-                   arms=tuple(CarbonArm.from_dict(a)
-                              for a in data["arms"]))
+    def to_dict(self) -> Dict:
+        return super().to_dict() | {
+            "dominating_policies": {
+                platform: self.dominating_policies(platform)
+                for platform in self.platforms()},
+            "platform_delta": self.platform_delta()}
 
     def lines(self) -> List[str]:
         """The four-policy table per platform, CLI/docs-ready."""

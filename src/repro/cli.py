@@ -324,99 +324,51 @@ def _cmd_chaos_job(args) -> int:
     return 0 if result.completed else 1
 
 
-def _cmd_resilience(args) -> int:
-    """The paired gray-failure experiment: mitigated vs unmitigated."""
-    import json
-    from .resilience import (job_resilience_experiment,
-                             web_resilience_experiment)
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    # Always the committed gray seed: the report's numbers are the
-    # repo's pinned acceptance story, not a sampling experiment.
-    if args.kind == "web":
-        report = web_resilience_experiment(platform=args.platform)
-    else:
-        report = job_resilience_experiment(platform=args.platform)
-    for line in report.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
+#: Plane subcommand -> (plan class, experiment function) in its package;
+#: resilience has no plan file, its experiment is picked by ``kind``.
+_SWEEPS = {
+    "resilience": (None, "{kind}_resilience_experiment"),
+    "autoscale": ("DayPlan", "autoscale_experiment"),
+    "carbon": ("CarbonDayPlan", "carbon_experiment"),
+    "dvfs": ("DvfsPlan", "dvfs_experiment"),
+    "durability": ("DurabilityPlan", "durability_experiment"),
+}
 
 
-def _cmd_autoscale(args) -> int:
-    """The three-arm provisioning day: static fleets vs the autoscaler."""
+def _cmd_sweep(args) -> int:
+    """Run one feature plane's committed experiment and print its report.
+
+    The plane's flags become experiment keywords; resilience always runs
+    the committed gray seed, since its numbers are the repo's pinned
+    acceptance story, not a sampling experiment.
+    """
+    import importlib
     import json
-    from .autoscale import DayPlan, autoscale_experiment
     if args.json:
         _check_parent_dir("--json", args.json)
-    plan = DayPlan.load(args.plan)
+    options = {}
     tracer = None
-    if args.trace:
+    if getattr(args, "trace", None):
         _check_parent_dir("--trace", args.trace)
-        tracer = Tracer()
-    report = autoscale_experiment(plan, trace=tracer)
+        tracer = options["trace"] = Tracer()
+    if getattr(args, "platform", None):
+        options["platform"] = args.platform
+    if getattr(args, "platforms", None):
+        options["platforms"] = tuple(args.platforms)
+    if getattr(args, "no_scorecards", False):
+        options["scorecards"] = False
+    if getattr(args, "no_controls", False):
+        options["controls"] = False
+    plane = importlib.import_module(f".{args.command}", __package__)
+    plan_class, experiment = _SWEEPS[args.command]
+    run = getattr(plane, experiment.format(kind=getattr(args, "kind", "")))
+    plans = (getattr(plane, plan_class).load(args.plan),) if plan_class else ()
+    report = run(*plans, **options)
     for line in report.lines():
         print(line)
     if tracer is not None:
         write_chrome_trace(tracer.log, args.trace)
         print(f"trace: {len(tracer.log)} events -> {args.trace}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
-
-
-def _cmd_carbon(args) -> int:
-    """The carbon day: four deferral policies x both platforms."""
-    import json
-    from .carbon import CarbonDayPlan, carbon_experiment
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    plan = CarbonDayPlan.load(args.plan)
-    report = carbon_experiment(plan)
-    for line in report.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
-
-
-def _cmd_dvfs(args) -> int:
-    """The governor sweep: governor x platform x load shape."""
-    import json
-    from .dvfs import DvfsPlan, dvfs_experiment
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    plan = DvfsPlan.load(args.plan)
-    report = dvfs_experiment(plan, scorecards=not args.no_scorecards)
-    for line in report.lines():
-        print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-        print(f"report -> {args.json}")
-    return 0
-
-
-def _cmd_durability(args) -> int:
-    """The durability day: placement x replication x platform."""
-    import json
-    from .durability import DurabilityPlan, durability_experiment
-    if args.json:
-        _check_parent_dir("--json", args.json)
-    plan = DurabilityPlan.load(args.plan)
-    platforms = tuple(args.platforms) if args.platforms else None
-    kwargs = {} if platforms is None else {"platforms": platforms}
-    report = durability_experiment(plan, controls=not args.no_controls,
-                                   **kwargs)
-    for line in report.lines():
-        print(line)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=1)
@@ -645,6 +597,24 @@ def _add_observability_flags(parser) -> None:
                              "(counters/gauges/histograms) to PATH as JSON")
 
 
+def _add_sweep(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A plane subcommand with ``--plan`` (if the plane has a plan file)
+    and ``--json``, run by :func:`_cmd_sweep`."""
+    parser = sub.add_parser(name, help=help)
+    plan_class = _SWEEPS[name][0]
+    if plan_class is not None:
+        parser.add_argument(
+            "--plan", metavar="FILE",
+            default=os.path.join(os.path.dirname(__file__), "..", "..",
+                                 "experiments", f"{name}_day.json"),
+            help=f"{plan_class} JSON (default: the committed "
+                 f"experiments/{name}_day.json)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the report as JSON to PATH")
+    parser.set_defaults(func=_cmd_sweep)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -756,81 +726,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_flags(cjob)
     cjob.set_defaults(func=_cmd_chaos_job)
 
-    res = sub.add_parser(
-        "resilience",
-        help="gray-failure tax report: the same seeded fault plan run "
-             "with and without mitigation, and the joule price of the "
-             "difference")
+    res = _add_sweep(
+        sub, "resilience",
+        "gray-failure tax report: the same seeded fault plan run with and "
+        "without mitigation, and the joule price of the difference")
     res.add_argument("kind", choices=("web", "job"))
     res.add_argument("--platform", choices=("edison", "dell"),
                      default="edison")
-    res.add_argument("--json", metavar="PATH",
-                     help="also write the report as JSON to PATH")
-    res.set_defaults(func=_cmd_resilience)
-
-    autoscale = sub.add_parser(
-        "autoscale",
-        help="three-arm provisioning day: static-Edison and static-Dell "
-             "fleets vs the autoscaled hybrid, with joules, SLOs and "
-             "dollars per arm")
-    autoscale.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "autoscale_day.json"),
-        metavar="FILE",
-        help="DayPlan JSON (default: the committed experiments/"
-             "autoscale_day.json)")
-    autoscale.add_argument("--json", metavar="PATH",
-                           help="also write the report as JSON to PATH")
+    autoscale = _add_sweep(
+        sub, "autoscale",
+        "three-arm provisioning day: static-Edison and static-Dell fleets "
+        "vs the autoscaled hybrid, with joules, SLOs and dollars per arm")
     autoscale.add_argument("--trace", metavar="PATH",
                            help="write a Chrome/Perfetto trace of all "
                                 "three arms to PATH")
-    autoscale.set_defaults(func=_cmd_autoscale)
-
-    carbon = sub.add_parser(
-        "carbon",
-        help="carbon day: four deferral policies (no-wait, EDD, "
-             "threshold-waiting, suspend-resume) x both platforms, "
-             "with grams CO2, dollars, wait and deadline misses per arm")
-    carbon.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "carbon_day.json"),
-        metavar="FILE",
-        help="CarbonDayPlan JSON (default: the committed experiments/"
-             "carbon_day.json)")
-    carbon.add_argument("--json", metavar="PATH",
-                        help="also write the report as JSON to PATH")
-    carbon.set_defaults(func=_cmd_carbon)
-
-    dvfs = sub.add_parser(
-        "dvfs",
-        help="governor sweep: performance, powersave and ondemand x "
-             "both platforms x three day shapes, with joules, p95, "
-             "P-state switches and energy-proportionality scorecards")
-    dvfs.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "dvfs_day.json"),
-        metavar="FILE",
-        help="DvfsPlan JSON (default: the committed experiments/"
-             "dvfs_day.json)")
-    dvfs.add_argument("--json", metavar="PATH",
-                      help="also write the report as JSON to PATH")
+    _add_sweep(
+        sub, "carbon",
+        "carbon day: four deferral policies (no-wait, EDD, "
+        "threshold-waiting, suspend-resume) x both platforms, with grams "
+        "CO2, dollars, wait and deadline misses per arm")
+    dvfs = _add_sweep(
+        sub, "dvfs",
+        "governor sweep: performance, powersave and ondemand x both "
+        "platforms x three day shapes, with joules, p95, P-state switches "
+        "and energy-proportionality scorecards")
     dvfs.add_argument("--no-scorecards", action="store_true",
                       help="skip the 10..100%% load ladders (faster)")
-    dvfs.set_defaults(func=_cmd_dvfs)
-
-    durability = sub.add_parser(
-        "durability",
-        help="durability day: rack-aware vs oblivious placement x "
-             "replication 1..3 x both platforms under a committed "
-             "partition/disk-failure timeline, with blocks lost, "
-             "block-seconds at risk, repair joules and the split-brain "
-             "reconciliation bill")
-    durability.add_argument(
-        "--plan", default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                       "experiments", "durability_day.json"),
-        metavar="FILE",
-        help="DurabilityPlan JSON (default: the committed experiments/"
-             "durability_day.json)")
+    durability = _add_sweep(
+        sub, "durability",
+        "durability day: rack-aware vs oblivious placement x replication "
+        "1..3 x both platforms under a committed partition/disk-failure "
+        "timeline, with blocks lost, block-seconds at risk, repair joules "
+        "and the split-brain reconciliation bill")
     durability.add_argument("--platforms", nargs="*",
                             choices=("edison", "dell"), metavar="PLATFORM",
                             help="restrict the day to these platforms "
@@ -838,9 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     durability.add_argument("--no-controls", action="store_true",
                             help="skip the no-partition control arms "
                                  "(faster, but no downtime cross-check)")
-    durability.add_argument("--json", metavar="PATH",
-                            help="also write the report as JSON to PATH")
-    durability.set_defaults(func=_cmd_durability)
 
     sub.add_parser("table2", help="capacity estimate") \
         .set_defaults(func=_cmd_table2)

@@ -11,7 +11,8 @@ bit-identical to a build without this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+
+from ..core.records import Record
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class RepairConfig:
 
 
 @dataclass(frozen=True)
-class DurabilityConfig:
+class DurabilityConfig(Record):
     """Top-level switch; off by default (bit-identical to PR 9)."""
 
     enabled: bool = False
@@ -90,29 +91,3 @@ class DurabilityConfig:
              ) -> "DurabilityConfig":
         """Phi detection + repair + ledger, the whole plane."""
         return cls(enabled=True, rack_aware=rack_aware, **overrides)
-
-    # -- (de)serialisation, for the committed day -------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "enabled": self.enabled,
-            "rack_aware": self.rack_aware,
-            "phi": {"enabled": self.phi.enabled,
-                    "threshold": self.phi.threshold,
-                    "window": self.phi.window,
-                    "min_std_s": self.phi.min_std_s,
-                    "heartbeat_s": self.phi.heartbeat_s},
-            "repair": {"enabled": self.repair.enabled,
-                       "confirm_s": self.repair.confirm_s,
-                       "throttle_bps": self.repair.throttle_bps,
-                       "max_streams": self.repair.max_streams},
-            "sample_interval_s": self.sample_interval_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DurabilityConfig":
-        return cls(enabled=data["enabled"],
-                   rack_aware=data.get("rack_aware", False),
-                   phi=PhiConfig(**data.get("phi", {})),
-                   repair=RepairConfig(**data.get("repair", {})),
-                   sample_interval_s=data.get("sample_interval_s", 1.0))

@@ -13,11 +13,10 @@ latency has not earned its complexity.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.records import Record, Report, p95
 from ..web.loadshape import ShapedLoad
 from .config import DvfsConfig, GovernorConfig
 from .scorecard import DVFS_SEED, ProportionalityScorecard
@@ -27,16 +26,8 @@ GOVERNORS = ("performance", "powersave", "ondemand")
 PLATFORMS = ("edison", "dell")
 
 
-def _p95(delays: List[float]) -> Optional[float]:
-    if not delays:
-        return None
-    ordered = sorted(delays)
-    index = max(0, math.ceil(0.95 * len(ordered)) - 1)
-    return ordered[index]
-
-
 @dataclass(frozen=True)
-class DvfsPlan:
+class DvfsPlan(Record):
     """One committed, seeded governor sweep."""
 
     name: str
@@ -70,46 +61,13 @@ class DvfsPlan:
         return DvfsConfig(enabled=True,
                           governor=GovernorConfig(kind=governor))
 
-    def to_dict(self) -> Dict:
-        return {"name": self.name,
-                "shapes": {name: shape.to_dict()
-                           for name, shape in self.shapes.items()},
-                "duration_s": self.duration_s, "seed": self.seed,
-                "calls": self.calls, "edison_scale": self.edison_scale,
-                "dell_scale": self.dell_scale,
-                "ondemand": {
-                    "kind": self.ondemand.kind,
-                    "sampling_interval_s": self.ondemand.sampling_interval_s,
-                    "up_threshold": self.ondemand.up_threshold,
-                    "down_threshold": self.ondemand.down_threshold,
-                    "metric_window_s": self.ondemand.metric_window_s,
-                }}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsPlan":
-        return cls(name=data["name"],
-                   shapes={name: ShapedLoad.from_dict(shape)
-                           for name, shape in data["shapes"].items()},
-                   duration_s=data["duration_s"], seed=data["seed"],
-                   calls=data["calls"],
-                   edison_scale=data["edison_scale"],
-                   dell_scale=data["dell_scale"],
-                   ondemand=GovernorConfig(**data["ondemand"]))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "DvfsPlan":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 @dataclass(frozen=True)
-class DvfsArm:
+class DvfsArm(Record):
     """One governor serving one platform through one shaped day."""
+
+    json_tail = ("slo_attained", "p95_s", "mean_power_w", "work_per_joule",
+                 "transitions", "residency_s")
 
     governor: str
     platform: str
@@ -143,52 +101,17 @@ class DvfsArm:
         return (self.availability_met is not False
                 and self.latency_met is not False)
 
-    def to_dict(self) -> Dict:
-        return {"governor": self.governor, "platform": self.platform,
-                "shape_name": self.shape_name, "seconds": self.seconds,
-                "joules": self.joules, "ok_calls": self.ok_calls,
-                "errors": self.errors,
-                "client_failures": self.client_failures,
-                "availability": self.availability,
-                "availability_met": self.availability_met,
-                "latency_met": self.latency_met,
-                "slo_attained": self.slo_attained,
-                "p95_s": self.p95_s, "mean_power_w": self.mean_power_w,
-                "work_per_joule": self.work_per_joule,
-                "transitions": self.transitions,
-                "residency_s": dict(self.residency_s)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsArm":
-        return cls(governor=data["governor"], platform=data["platform"],
-                   shape_name=data["shape_name"], seconds=data["seconds"],
-                   joules=data["joules"], ok_calls=data["ok_calls"],
-                   errors=data["errors"],
-                   client_failures=data["client_failures"],
-                   availability=data["availability"],
-                   availability_met=data["availability_met"],
-                   latency_met=data["latency_met"], p95_s=data["p95_s"],
-                   mean_power_w=data["mean_power_w"],
-                   transitions=data.get("transitions", 0),
-                   residency_s=dict(data.get("residency_s", {})))
-
 
 @dataclass(frozen=True)
-class DvfsReport:
+class DvfsReport(Report):
     """The whole sweep, plus the proportionality scorecards."""
+
+    arm_key = ("platform", "shape_name", "governor")
 
     plan_name: str
     detail: str
     arms: Tuple[DvfsArm, ...]
     scorecards: Tuple[ProportionalityScorecard, ...] = ()
-
-    def arm(self, platform: str, shape_name: str,
-            governor: str) -> DvfsArm:
-        for arm in self.arms:
-            if (arm.platform == platform and arm.shape_name == shape_name
-                    and arm.governor == governor):
-                return arm
-        raise KeyError(f"no arm {platform}/{shape_name}/{governor}")
 
     def ondemand_wins(self) -> List[str]:
         """Platform/shape pairs where ondemand strictly beats
@@ -210,20 +133,7 @@ class DvfsReport:
         return out
 
     def to_dict(self) -> Dict:
-        return {"plan_name": self.plan_name, "detail": self.detail,
-                "arms": [arm.to_dict() for arm in self.arms],
-                "scorecards": [card.to_dict()
-                               for card in self.scorecards],
-                "ondemand_wins": self.ondemand_wins()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DvfsReport":
-        return cls(plan_name=data["plan_name"], detail=data["detail"],
-                   arms=tuple(DvfsArm.from_dict(a)
-                              for a in data["arms"]),
-                   scorecards=tuple(
-                       ProportionalityScorecard.from_dict(c)
-                       for c in data.get("scorecards", ())))
+        return super().to_dict() | {"ondemand_wins": self.ondemand_wins()}
 
     def lines(self) -> List[str]:
         out = [f"DVFS governor sweep — {self.plan_name} ({self.detail})"]
@@ -231,11 +141,11 @@ class DvfsReport:
                    f"{'p95':>8s} {'calls/kJ':>9s} {'SLO':>5s} "
                    f"{'switches':>9s}")
         for arm in self.arms:
-            p95 = ("n/a" if arm.p95_s is None
-                   else f"{arm.p95_s * 1000:.0f} ms")
+            delay = ("n/a" if arm.p95_s is None
+                     else f"{arm.p95_s * 1000:.0f} ms")
             out.append(
                 f"  {arm.label:34s} {arm.joules:>7.0f} J "
-                f"{arm.mean_power_w:>6.1f} W {p95:>8s} "
+                f"{arm.mean_power_w:>6.1f} W {delay:>8s} "
                 f"{arm.work_per_joule * 1000:>9.0f} "
                 f"{'met' if arm.slo_attained else 'MISS':>5s} "
                 f"{arm.transitions:>9d}")
@@ -284,7 +194,7 @@ def _run_arm(plan: DvfsPlan, governor: str, platform: str,
         availability=slo.availability,
         availability_met=slo.availability_met,
         latency_met=slo.latency_met,
-        p95_s=_p95(delays),
+        p95_s=p95(delays),
         mean_power_w=level.mean_power_w,
         transitions=plane.counters["transitions"],
         residency_s={k: round(v, 6)

@@ -25,13 +25,14 @@ tax is visible, not hidden inside the total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
+from ..core.records import Record
 from ..faults.models import (FaultPlan, cpu_throttle, node_crash,
                              packet_loss)
 from .config import ResilienceConfig
 
-#: Seed of the committed gray-failure experiment (CI smoke + docs).
+#: Seed of the committed gray-failure experiment (acceptance suite + docs).
 GRAY_SEED = 42
 
 
@@ -84,8 +85,10 @@ def job_gray_plan(nodes: Sequence[str]) -> FaultPlan:
 
 
 @dataclass(frozen=True)
-class ResilienceArm:
+class ResilienceArm(Record):
     """One arm (mitigated or unmitigated) of a paired gray-failure run."""
+
+    json_tail = ("work_per_joule", "counters", "waste_joules")
 
     label: str
     completed: bool
@@ -116,39 +119,13 @@ class ResilienceArm:
     def total_waste_joules(self) -> float:
         return sum(self.waste_joules.values())
 
-    def to_dict(self) -> Dict:
-        return {
-            "label": self.label, "completed": self.completed,
-            "work_done": self.work_done, "seconds": self.seconds,
-            "joules": self.joules, "errors": self.errors,
-            "client_failures": self.client_failures,
-            "task_failures": self.task_failures, "p95_s": self.p95_s,
-            "availability": self.availability,
-            "availability_met": self.availability_met,
-            "latency_met": self.latency_met,
-            "work_per_joule": self.work_per_joule,
-            "counters": dict(self.counters),
-            "waste_joules": dict(self.waste_joules),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResilienceArm":
-        return cls(label=data["label"], completed=data["completed"],
-                   work_done=data["work_done"], seconds=data["seconds"],
-                   joules=data["joules"], errors=data.get("errors", 0),
-                   client_failures=data.get("client_failures", 0),
-                   task_failures=data.get("task_failures", 0),
-                   p95_s=data.get("p95_s"),
-                   availability=data.get("availability"),
-                   availability_met=data.get("availability_met"),
-                   latency_met=data.get("latency_met"),
-                   counters=dict(data.get("counters", {})),
-                   waste_joules=dict(data.get("waste_joules", {})))
-
 
 @dataclass(frozen=True)
-class ResilienceTaxReport:
+class ResilienceTaxReport(Record):
     """Mitigated vs unmitigated under one seeded gray-failure plan."""
+
+    json_tail = ("energy_overhead_fraction", "waste_fraction",
+                 "work_per_joule_ratio")
 
     kind: str                   # "web" or "job"
     platform: str
@@ -177,22 +154,6 @@ class ResilienceTaxReport:
         if base <= 0:
             return float("inf") if self.mitigated.work_per_joule > 0 else 1.0
         return self.mitigated.work_per_joule / base
-
-    def to_dict(self) -> Dict:
-        return {"kind": self.kind, "platform": self.platform,
-                "detail": self.detail,
-                "unmitigated": self.unmitigated.to_dict(),
-                "mitigated": self.mitigated.to_dict(),
-                "energy_overhead_fraction": self.energy_overhead_fraction,
-                "waste_fraction": self.waste_fraction,
-                "work_per_joule_ratio": self.work_per_joule_ratio}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResilienceTaxReport":
-        return cls(kind=data["kind"], platform=data["platform"],
-                   detail=data["detail"],
-                   unmitigated=ResilienceArm.from_dict(data["unmitigated"]),
-                   mitigated=ResilienceArm.from_dict(data["mitigated"]))
 
     def lines(self) -> List[str]:
         """The mitigated-vs-unmitigated table, CLI/docs-ready."""

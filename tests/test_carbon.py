@@ -148,6 +148,25 @@ def test_policy_spec_validation():
         PolicySpec(check_interval_s=0.0)
 
 
+def test_plan_requires_the_no_wait_arm():
+    """Every verdict is measured against no-wait, so a plan without it
+    is refused up front rather than after the whole day has run."""
+    def plan(*kinds):
+        return CarbonDayPlan(
+            name="tiny-day", day_s=DAY,
+            intensity=solar_dip_intensity(DAY),
+            price=evening_peak_price(DAY), jobs=(tiny_job(),),
+            slaves={"edison": 2, "dell": 1},
+            policies=tuple(PolicySpec(kind=k) for k in kinds))
+
+    with pytest.raises(ValueError, match="no-wait"):
+        plan("threshold")
+    with pytest.raises(ValueError, match="no-wait"):
+        plan("edd", "suspend-resume")
+    assert [p.kind for p in plan("no-wait", "threshold").policies] == [
+        "no-wait", "threshold"]
+
+
 def test_edd_picks_earliest_deadline():
     policy = make_policy(PolicySpec(kind="edd"), flat_trace(100.0))
     late = tiny_job("late", release=0.0, deadline=5000.0)
@@ -344,14 +363,6 @@ def test_committed_day_edison_vs_r620_delta(committed_report):
     assert delta["dell_grams_saved"] > 0
     # And the report states it.
     assert any("Edison vs R620" in line for line in report.lines())
-
-
-def test_committed_day_report_roundtrip(committed_report):
-    _, report = committed_report
-    from repro.carbon import CarbonReport
-    again = CarbonReport.from_dict(report.to_dict())
-    assert again.platform_delta() == report.platform_delta()
-    assert [a.label for a in again.arms] == [a.label for a in report.arms]
 
 
 def test_report_lines_show_all_four_policies(committed_report):

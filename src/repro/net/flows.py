@@ -10,10 +10,31 @@ The implementation keeps per-flow remaining bytes; when the rate
 allocation changes, remaining work is rolled forward and the next
 completion re-scheduled using a versioned wake-up (the kernel has no
 timeout cancellation, so stale wake-ups are recognised and ignored).
+
+Cost.  One reallocation keeps a record per segment (residual capacity,
+open-flow count, member flows) and picks each bottleneck from a heap
+keyed on ``(residual / open_count, first_appearance_index)``; a segment
+whose count changes gets a fresh entry and superseded entries are
+skipped when popped.  Each flow is frozen once, touching each of its
+segments once, so a reallocation costs O(P log S) for P flow-segment
+pairs over S segments - roughly linear in the number of active flows,
+where rescanning every segment at each step would cost O(steps x P).
+
+Tie-break and bit identity.  The heap selects the segment with the
+lowest fair share and, on a tie, the one that appears first when
+walking ``flows`` in order and each flow's segments in path order.
+Residuals are reduced by ``residual -= fair`` once per frozen flow, in
+member order, and NIC ``active_rate_Bps`` is summed in ``flows`` order.
+Every rate, NIC rate and completion time is therefore the same float,
+bit for bit, as the rescan-every-step progressive filling produces,
+given that a path names each segment at most once (as
+:meth:`Topology.path` builds it).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,7 +48,7 @@ from ..sim import Event, Simulation
 COMPLETION_THRESHOLD_BYTES = 1e-3
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """A capacity-limited network segment (a NIC direction or a trunk)."""
 
@@ -47,11 +68,8 @@ class Segment:
         #: flows ignore it.
         self.busy_until = 0.0
 
-    def __hash__(self):
-        return id(self)
 
-
-@dataclass
+@dataclass(eq=False)
 class Flow:
     """One in-flight bulk transfer."""
 
@@ -61,8 +79,18 @@ class Flow:
     rate_Bps: float = 0.0
     total_bytes: float = field(default=0.0)
 
-    def __hash__(self):
-        return id(self)
+
+class _SegmentState:
+    """One segment's progressive-filling record within a reallocation."""
+
+    __slots__ = ("residual", "open", "members", "index", "stamp")
+
+    def __init__(self, capacity_Bps: float, index: int):
+        self.residual = capacity_Bps    # capacity not yet handed out
+        self.open = 0                   # unfrozen flows crossing it
+        self.members: List[int] = []    # flow positions in FlowNetwork.flows
+        self.index = index              # first-appearance order
+        self.stamp = 0                  # bumped whenever its share changes
 
 
 class FlowNetwork:
@@ -148,39 +176,60 @@ class FlowNetwork:
 
     def _reallocate(self) -> None:
         """Progressive filling: assign max-min fair rates, reschedule."""
-        # Clear NIC instantaneous-rate accounting.
-        for flow in self.flows:
-            for segment in flow.segments:
-                if segment.nic is not None:
-                    segment.nic.active_rate_Bps = 0.0
-        if not self.flows:
+        flows = self.flows
+        if not flows:
             self._version += 1
             return
-        unfrozen = set(self.flows)
-        rates: Dict[Flow, float] = {flow: 0.0 for flow in self.flows}
-        seg_flows: Dict[Segment, List[Flow]] = {}
-        for flow in self.flows:
+        # One record per segment, indexed in first-appearance order; the
+        # first sighting also clears the NIC's instantaneous rate.
+        states: Dict[Segment, _SegmentState] = {}
+        order: List[_SegmentState] = []
+        paths: List[List[_SegmentState]] = []
+        for i, flow in enumerate(flows):
+            path = []
             for segment in flow.segments:
-                seg_flows.setdefault(segment, []).append(flow)
-        seg_capacity = {seg: seg.capacity_Bps for seg in seg_flows}
+                state = states.get(segment)
+                if state is None:
+                    state = states[segment] = _SegmentState(
+                        segment.capacity_Bps, len(order))
+                    order.append(state)
+                    if segment.nic is not None:
+                        segment.nic.active_rate_Bps = 0.0
+                state.members.append(i)
+                path.append(state)
+            paths.append(path)
+        for state in order:
+            state.open = len(state.members)
+        heap = [(s.residual / s.open, s.index, 0) for s in order]
+        heapq.heapify(heap)
+        rates = [0.0] * len(flows)
+        frozen = [False] * len(flows)
+        unfrozen = len(flows)
         while unfrozen:
             # Tightest segment determines the next fair-share increment.
-            bottleneck, fair = None, float("inf")
-            for segment, flows in seg_flows.items():
-                active = [f for f in flows if f in unfrozen]
-                if not active:
-                    continue
-                share = seg_capacity[segment] / len(active)
-                if share < fair:
-                    bottleneck, fair = segment, share
-            if bottleneck is None:
+            fair, index, stamp = heapq.heappop(heap)
+            bottleneck = order[index]
+            if stamp != bottleneck.stamp:
+                continue  # superseded by a later push for this segment
+            if not fair < math.inf:
                 break
-            for flow in [f for f in seg_flows[bottleneck] if f in unfrozen]:
-                rates[flow] += fair
-                unfrozen.discard(flow)
-                for segment in flow.segments:
-                    seg_capacity[segment] -= fair
-        for flow, rate in rates.items():
+            touched = {}
+            for i in bottleneck.members:
+                if frozen[i]:
+                    continue
+                frozen[i] = True
+                unfrozen -= 1
+                rates[i] = fair
+                for state in paths[i]:
+                    state.residual -= fair
+                    state.open -= 1
+                    touched[state] = None
+            for state in touched:
+                state.stamp += 1
+                if state.open:
+                    heapq.heappush(heap, (state.residual / state.open,
+                                          state.index, state.stamp))
+        for flow, rate in zip(flows, rates):
             flow.rate_Bps = rate
             for segment in flow.segments:
                 if segment.nic is not None:

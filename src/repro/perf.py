@@ -105,15 +105,13 @@ def measure_table7_cell(platform: str, rate: int,
                         warmup: float = WEB_WARMUP,
                         seed: int = SEED) -> PerfSample:
     """One Table 7 row; digest = the exact delay decomposition."""
-    from .web import measure_delay_decomposition
+    from .web.deployment import delay_decomposition, run_table7_level
     t0 = time.perf_counter()
-    decomp = measure_delay_decomposition(platform, rate, duration=duration,
-                                         warmup=warmup, seed=seed)
+    deployment = run_table7_level(platform, rate, duration=duration,
+                                  warmup=warmup, seed=seed)
+    decomp = delay_decomposition(deployment, rate, warmup)
     wall = time.perf_counter() - t0
-    # measure_delay_decomposition owns its simulation; the digest is the
-    # decomposition itself (events are re-measured by the web ladder).
-    return PerfSample(wall_s=wall, scheduled=0, processed=0,
-                      events_per_s=0.0, heap_peak=0, digest=asdict(decomp))
+    return _sample(deployment.sim, wall, asdict(decomp))
 
 
 def measure_terasort(slaves: int, seed: int = SEED) -> PerfSample:
@@ -160,7 +158,8 @@ def run_suite(quick: bool = False, emit=None) -> Dict:
     for platform, rate in table7_cells:
         sample = measure_table7_cell(platform, rate)
         bundle["table7"][f"{platform}@{rate}"] = sample.to_dict()
-        say(f"table7 {platform}@{rate}: {sample.wall_s:.2f}s wall")
+        say(f"table7 {platform}@{rate}: {sample.events_per_s:,.0f} "
+            f"events/s, {sample.wall_s:.2f}s wall")
     for slaves in terasort_ladder:
         sample = measure_terasort(slaves)
         bundle["terasort"][str(slaves)] = sample.to_dict()

@@ -303,18 +303,16 @@ class DelayDecomposition:
     total_delay_s: float
 
 
-def measure_delay_decomposition(platform: str, request_rate: float,
-                                duration: float = 4.0, warmup: float = 1.0,
-                                seed: int = 20160901,
-                                trace=None) -> DelayDecomposition:
-    """Reproduce one row of Table 7 (20 % images, 93 % hit ratio).
+def run_table7_level(platform: str, request_rate: float,
+                     duration: float = 4.0, warmup: float = 1.0,
+                     seed: int = 20160901,
+                     trace=None) -> WebServiceDeployment:
+    """Run one Table 7 load level; returns the finished deployment.
 
-    Offered load is fixed at ``request_rate`` with the paper's mix; the
-    decomposition averages the web-server-side logs, counting database
-    delay only over cache-miss requests as the paper does.  Passing a
-    :class:`repro.trace.Tracer` records the run, from whose spans
-    :func:`repro.trace.delay_decomposition_from_trace` re-derives this
-    same decomposition (the trace-as-oracle cross-check).
+    Offered load is fixed at ``request_rate`` with the paper's mix (20 %
+    images, 93 % hit ratio, 13 calls per connection).  The caller owns
+    the deployment, so it can read the run's simulation as well as the
+    :func:`delay_decomposition` of its logs.
     """
     workload = P.WebWorkload(image_fraction=0.20, cache_hit_ratio=0.93)
     deployment = WebServiceDeployment(platform, "full", workload, seed=seed,
@@ -323,6 +321,17 @@ def measure_delay_decomposition(platform: str, request_rate: float,
     concurrency = max(1, round(request_rate / calls))
     deployment.run_level(concurrency, duration=duration, warmup=warmup,
                          calls=calls)
+    return deployment
+
+
+def delay_decomposition(deployment: WebServiceDeployment,
+                        request_rate: float,
+                        warmup: float) -> DelayDecomposition:
+    """The Table 7 row of a finished deployment's web-server logs.
+
+    Averages the calls that completed after ``warmup``, counting
+    database delay only over cache-miss requests as the paper does.
+    """
     records = [r for r in deployment.call_records(after=warmup) if r.ok]
     if not records:
         raise RuntimeError("no completed requests in the window")
@@ -332,3 +341,20 @@ def measure_delay_decomposition(platform: str, request_rate: float,
     total = sum(r.total_s for r in records) / len(records)
     return DelayDecomposition(request_rate=request_rate, db_delay_s=db,
                               cache_delay_s=cache, total_delay_s=total)
+
+
+def measure_delay_decomposition(platform: str, request_rate: float,
+                                duration: float = 4.0, warmup: float = 1.0,
+                                seed: int = 20160901,
+                                trace=None) -> DelayDecomposition:
+    """Reproduce one row of Table 7 (20 % images, 93 % hit ratio).
+
+    Runs :func:`run_table7_level` and returns its
+    :func:`delay_decomposition`.  Passing a :class:`repro.trace.Tracer`
+    records the run, from whose spans
+    :func:`repro.trace.delay_decomposition_from_trace` re-derives this
+    same decomposition (the trace-as-oracle cross-check).
+    """
+    deployment = run_table7_level(platform, request_rate, duration=duration,
+                                  warmup=warmup, seed=seed, trace=trace)
+    return delay_decomposition(deployment, request_rate, warmup)

@@ -45,6 +45,13 @@ def test_flow_rejects_negative_bytes_and_empty_path():
         net.start_flow([], nbytes=10)
 
 
+def test_equal_segments_are_distinct_keys():
+    a = Segment("link", capacity_Bps=100.0)
+    b = Segment("link", capacity_Bps=100.0)
+    assert a != b
+    assert len({a: "first", b: "second"}) == 2
+
+
 def test_two_flows_share_fairly():
     sim = Simulation()
     net = FlowNetwork(sim)

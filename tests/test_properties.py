@@ -1,13 +1,16 @@
 """Property-based tests (hypothesis) for core data structures/invariants."""
 
 import math
+from typing import Dict, List
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import speedup_per_doubling
 from repro.hardware import MemorySpec, PowerSpec, StorageSpec
+from repro.hardware.nic import Nic, NicSpec
 from repro.net import FlowNetwork, Segment
+from repro.net.flows import Flow
 from repro.sim import Container, Resource, Simulation, TimeSeries
 from repro.tco import TcoInputs, cluster_tco
 from repro.web.params import tuned_calls_per_connection
@@ -139,6 +142,128 @@ def test_single_flow_time_is_bytes_over_capacity(nbytes, capacity):
     sim.run(until=done)
     assert math.isclose(sim.now, nbytes / capacity, rel_tol=1e-3,
                         abs_tol=1e-6)
+
+
+# -- max-min allocator vs a rescan-every-step oracle ---------------------------
+
+class _RescanFlowNetwork(FlowNetwork):
+    """Reference allocator: the textbook progressive filling, which
+    rescans every segment and rebuilds its unfrozen member list at each
+    step.  The heap-ordered allocator must agree with it bit for bit."""
+
+    def _reallocate(self) -> None:
+        """Progressive filling, rescanning every segment at every step."""
+        # Clear NIC instantaneous-rate accounting.
+        for flow in self.flows:
+            for segment in flow.segments:
+                if segment.nic is not None:
+                    segment.nic.active_rate_Bps = 0.0
+        if not self.flows:
+            self._version += 1
+            return
+        unfrozen = set(self.flows)
+        rates: Dict[Flow, float] = {flow: 0.0 for flow in self.flows}
+        seg_flows: Dict[Segment, List[Flow]] = {}
+        for flow in self.flows:
+            for segment in flow.segments:
+                seg_flows.setdefault(segment, []).append(flow)
+        seg_capacity = {seg: seg.capacity_Bps for seg in seg_flows}
+        while unfrozen:
+            # Tightest segment determines the next fair-share increment.
+            bottleneck, fair = None, float("inf")
+            for segment, flows in seg_flows.items():
+                active = [f for f in flows if f in unfrozen]
+                if not active:
+                    continue
+                share = seg_capacity[segment] / len(active)
+                if share < fair:
+                    bottleneck, fair = segment, share
+            if bottleneck is None:
+                break
+            for flow in [f for f in seg_flows[bottleneck] if f in unfrozen]:
+                rates[flow] += fair
+                unfrozen.discard(flow)
+                for segment in flow.segments:
+                    seg_capacity[segment] -= fair
+        for flow, rate in rates.items():
+            flow.rate_Bps = rate
+            for segment in flow.segments:
+                if segment.nic is not None:
+                    segment.nic.active_rate_Bps += rate
+        self._schedule_next_completion()
+
+
+#: Few distinct capacities, so equal fair shares (ties) are common.
+_CAPACITIES = (1e6, 1e6 / 3, 2.5e6, 12.5e6)
+
+#: (start in half-seconds, crosses the trunk, own segments 1-5, bytes).
+_FLOW = st.tuples(st.integers(min_value=0, max_value=8), st.booleans(),
+                  st.lists(st.integers(min_value=1, max_value=5),
+                           min_size=1, max_size=2, unique=True),
+                  st.integers(min_value=1, max_value=5_000_000))
+
+#: (time in half-seconds, segment, new capacity) of one mid-run change.
+_CHANGE = st.tuples(st.integers(min_value=0, max_value=8),
+                    st.integers(min_value=0, max_value=5),
+                    st.sampled_from(_CAPACITIES))
+
+
+def _replay(network_cls, capacities, flow_specs, change):
+    """Run one scenario; returns every allocation, every completion time
+    and the NIC byte counters."""
+    sim = Simulation()
+    net = network_cls(sim)
+    nics = [Nic(sim, NicSpec(8e6), f"nic{i}") for i in range(3)]
+    # Segment 0 is a trunk without a NIC; 1-5 are NIC directions.
+    segments = [Segment("trunk", capacities[0])] + [
+        Segment(f"s{i}", capacities[i], nic=nics[(i - 1) // 2],
+                nic_direction="tx" if i % 2 else "rx")
+        for i in range(1, 6)]
+    allocations = []
+    allocate = net._reallocate
+
+    def observed_reallocate():
+        allocate()
+        allocations.append(([f.rate_Bps for f in net.flows],
+                            [nic.active_rate_Bps for nic in nics]))
+
+    net._reallocate = observed_reallocate
+    finished = {}
+
+    def start(k, path, nbytes):
+        done = net.start_flow(path, nbytes)
+        done.add_callback(lambda ev: finished.__setitem__(k, ev.value))
+
+    for k, (when, via_trunk, own, nbytes) in enumerate(flow_specs):
+        path = [segments[j] for j in own]
+        if via_trunk:
+            path.insert(1, segments[0])
+        sim.timeout(when / 2).add_callback(
+            lambda _ev, k=k, path=path, nbytes=nbytes: start(k, path, nbytes))
+    at, index, capacity = change
+
+    def degrade(_ev):
+        segments[index].capacity_Bps = capacity
+        net.rescale()
+
+    sim.timeout(at / 2 + 0.25).add_callback(degrade)
+    sim.run()
+    assert len(finished) == len(flow_specs)
+    return (allocations, finished,
+            [(nic.bytes_sent, nic.bytes_received) for nic in nics])
+
+
+@given(st.lists(st.sampled_from(_CAPACITIES), min_size=6, max_size=6),
+       st.lists(_FLOW, min_size=1, max_size=25), _CHANGE)
+@example([1e6] * 6, [(0, True, [1 + k % 5], 1_000_000 + k)
+                     for k in range(12)], (2, 0, 1e6 / 3))
+@settings(deadline=None, max_examples=200)
+def test_heap_allocator_matches_rescan_oracle_bit_for_bit(
+        capacities, flow_specs, change):
+    expected = _replay(_RescanFlowNetwork, capacities, flow_specs, change)
+    actual = _replay(FlowNetwork, capacities, flow_specs, change)
+    # Exact float equality: rates, NIC rates, completion times, bytes.
+    assert actual == expected
 
 
 # -- hardware specs ---------------------------------------------------------------

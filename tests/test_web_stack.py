@@ -4,8 +4,11 @@ These use small scales and short windows so the whole file stays fast;
 the full-scale paper comparisons live in the benchmark harness.
 """
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.perf import measure_table7_cell
 from repro.sim import Simulation
 from repro.web import (
     PortPool, WebServiceDeployment, WebWorkload, delay_distribution,
@@ -170,6 +173,16 @@ def test_delay_decomposition_grows_with_rate_on_edison():
                                        warmup=0.5)
     assert high.cache_delay_s > 2 * low.cache_delay_s
     assert high.total_delay_s > 2 * low.total_delay_s
+
+
+def test_table7_perf_cell_counts_its_simulation():
+    sample = measure_table7_cell("edison", 480, duration=1.0, warmup=0.5)
+    assert sample.processed > 0
+    assert sample.events_per_s > 0.0
+    assert 0 < sample.heap_peak < sample.processed
+    reported = measure_delay_decomposition("edison", 480, duration=1.0,
+                                           warmup=0.5)
+    assert sample.digest == asdict(reported)
 
 
 # -- Figures 10/11 ---------------------------------------------------------------

@@ -16,11 +16,16 @@ not change results, bit for bit.  Both phases land in the same JSON
 file, together with a ``speedup`` section, so the improvement and its
 evidence travel with the repo.
 
-``--compare FILE`` instead runs the sweep and prints a report-only
-comparison against the committed baseline's ``post`` phase (used by the
-CI smoke job; never fails the build — CI hardware varies).
-``--quick`` runs the one-cell-per-workload subset with parameters
-identical to the full suite.
+``--compare FILE`` instead runs the sweep and compares it against the
+committed baseline's ``post`` phase (the CI perf-smoke job).  It is an
+event-count ratchet: it exits 1 when a cell's fidelity digest matches
+the baseline but the cell processed more calendar events than recorded
+there.  Event counts are deterministic, so that can only come from a
+simulator change.  A cell whose digest differs is reported, not gated
+(another host's libm may legitimately differ), and wall-clock and
+events/second ratios are always report-only.  ``--quick`` runs the
+one-cell-per-workload subset with parameters identical to the full
+suite.
 """
 
 import argparse
@@ -48,8 +53,9 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="one cell per workload (CI smoke)")
     parser.add_argument("--compare", metavar="FILE",
-                        help="report-only comparison against FILE's "
-                             "post phase; does not write --out")
+                        help="compare against FILE's post phase: fail on "
+                             "more events at an unchanged digest, report "
+                             "the rest; does not write --out")
     args = parser.parse_args(argv)
 
     bundle = perf.run_suite(quick=args.quick, emit=print)
@@ -61,16 +67,23 @@ def main(argv=None):
         if not baseline:
             print(f"no recorded phases in {args.compare}; nothing to compare")
             return 0
-        print(f"\nreport-only comparison vs {args.compare} ({phase}):")
+        print(f"\ncomparison vs {args.compare} ({phase}):")
         for cell, ratios in perf.speedup_report(baseline, bundle).items():
             parts = ", ".join(f"{k} {v:.2f}x" for k, v in ratios.items())
             print(f"  {cell}: {parts}")
         mismatches = perf.digest_mismatches(baseline, bundle)
         if mismatches:
             print("  fidelity digests differ (expected across "
-                  "hosts/versions): " + ", ".join(mismatches))
+                  "hosts/versions; event counts not compared): "
+                  + ", ".join(mismatches))
         else:
             print("  fidelity digests identical to baseline")
+        regressions = perf.event_regressions(baseline, bundle)
+        if regressions:
+            print("EVENT-COUNT REGRESSION at an unchanged digest: "
+                  + "; ".join(regressions))
+            return 1
+        print("  no cell processed more events than the baseline")
         return 0
 
     data = load(args.out)

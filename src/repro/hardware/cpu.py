@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..sim import Request, Resource, Simulation
+from ..sim import Resource, Simulation
 
 
 @dataclass(frozen=True)
@@ -228,9 +228,10 @@ class Cpu:
         # runs once per simulated CPU burst, and __enter__/__exit__ are
         # two extra calls per burst for the same release-on-interrupt
         # guarantee.  rate_for() is likewise inlined against the live
-        # holder count.
+        # holder count.  acquire() grants an idle vcore in place when no
+        # other event could run before the grant (see repro.sim.resources).
         vcores = self.vcores
-        grant = Request(vcores)
+        grant = vcores.acquire()
         try:
             yield grant
             rate = (self._thread_dmips

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import Request, Resource, Simulation
+from ..sim import Resource, Simulation
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,10 @@ class Storage:
         # try/finally instead of the context manager, and table lookups
         # instead of io_time()'s string dispatch: _io runs once per
         # simulated disk request, which MapReduce issues by the
-        # thousand (spills, merges, HDFS block reads).
+        # thousand (spills, merges, HDFS block reads).  acquire() grants
+        # an idle channel in place (see repro.sim.resources).
         channel = self.channel
-        grant = Request(channel)
+        grant = channel.acquire()
         try:
             yield grant
             device_s = (self._latencies[op]

@@ -6,6 +6,13 @@ even more containers per vcore sometimes better utilizes CPU").  The
 scheduler assigns requests on NodeManager heartbeats, preferring nodes
 that hold a replica of the task's input (delay scheduling), and records
 the achieved data-locality fraction the paper reports (~95 %).
+
+Every waiting request polls: one jittered heartbeat, one RM burst on
+the master CPU, one scan.  A failed scan changes nothing, so a request
+skips its scan while the scheduler's state counter (bumped by every
+reserve, release and node blacklist or rejoin) and its own
+``allow_any`` are what they were at its last failed scan.  The RNG
+draws, RM bursts and grants are those of a full scan every round.
 """
 
 from __future__ import annotations
@@ -31,7 +38,11 @@ class ContainerGrant:
 
 
 class NodeManager:
-    """Per-node bookkeeping of schedulable memory."""
+    """Per-node bookkeeping of schedulable memory.
+
+    Change it through :class:`YarnScheduler`: waiting requests only
+    re-scan after the scheduler's state counter moves.
+    """
 
     def __init__(self, server: Server, task_mem_mb: int):
         if task_mem_mb < 1:
@@ -125,6 +136,9 @@ class YarnScheduler:
             s.name: NodeManager(s, config.node_task_mem_mb) for s in slaves}
         self.local_grants = 0
         self.total_grants = 0
+        #: Bumped on every change a scan can see: reserve, release,
+        #: mark_node_down, mark_node_up.
+        self._state = 0
 
     @property
     def total_vcores(self) -> int:
@@ -139,20 +153,34 @@ class YarnScheduler:
     def _try_grant(self, mem_mb: int,
                    preferred: Sequence[str],
                    allow_any: bool,
-                   avoid: Sequence[str] = ()) -> Optional[ContainerGrant]:
+                   avoid: Sequence[str] = (),
+                   failed: Optional[tuple] = None
+                   ) -> Optional[ContainerGrant]:
+        """One scheduling round for one request.
+
+        ``failed`` is ``(state, allow_any)`` as of the request's last
+        failed round; while both are unchanged the scan would fail
+        again, so it is skipped.
+        """
+        if failed is not None and failed == (self._state, allow_any):
+            return None
+        # Avoided nodes are out before locality is decided, so a request
+        # whose preferred nodes are all avoided still falls back to any
+        # node once allow_any is set.
+        nodes = self.nodes
         candidates = [n for n in preferred
-                      if n in self.nodes and self.nodes[n].can_fit(mem_mb)]
+                      if n in nodes and n not in avoid
+                      and nodes[n].can_fit(mem_mb)]
         local = bool(candidates)
         if not candidates and allow_any:
-            candidates = [name for name, nm in self.nodes.items()
-                          if nm.can_fit(mem_mb)]
-        if avoid:
-            candidates = [n for n in candidates if n not in avoid]
+            candidates = [name for name, nm in nodes.items()
+                          if name not in avoid and nm.can_fit(mem_mb)]
         if not candidates:
             return None
         # Least-loaded placement among the candidates.
-        name = max(candidates, key=lambda n: self.nodes[n].free_mem_mb)
-        self.nodes[name].reserve(mem_mb)
+        name = max(candidates, key=lambda n: nodes[n].free_mem_mb)
+        nodes[name].reserve(mem_mb)
+        self._state += 1
         if preferred:
             # The data-locality statistic covers placement-sensitive
             # requests only (map tasks); reducers have no preference.
@@ -177,31 +205,38 @@ class YarnScheduler:
         """
         if mem_mb < 1:
             raise ValueError("mem_mb must be >= 1")
-        requested_at = self.sim.now
+        sim = self.sim
+        requested_at = sim.now
+        rng = self.rng
+        heartbeat_s = self.config.heartbeat_s
+        locality_wait = self.LOCALITY_WAIT_HEARTBEATS
+        # The RM does real work per scheduling round; a weak master
+        # serialises every waiting request through its tiny CPU, and one
+        # without room for the namenode+RM working set pays a paging
+        # penalty on top ("a single Edison node cannot fulfill
+        # resource-intensive tasks").
+        rm_cpu = self.master.cpu if self.master is not None else None
+        rm_mi = self.RM_MI_PER_ROUND * self._master_penalty()
         heartbeats = 0
+        failed = None
         while True:
             if max_heartbeats is not None and heartbeats >= max_heartbeats:
                 return None
             # Requests ride the next NM heartbeat (jittered).
-            yield heartbeat_jitter(self.rng, self.config.heartbeat_s)
-            if self.master is not None:
-                # The RM does real work per scheduling round; a weak
-                # master serialises every waiting request through its
-                # tiny CPU, and one without room for the namenode+RM
-                # working set pays a paging penalty on top ("a single
-                # Edison node cannot fulfill resource-intensive tasks").
-                yield from self.master.cpu.execute(
-                    self.RM_MI_PER_ROUND * self._master_penalty())
-            allow_any = (not preferred
-                         or heartbeats >= self.LOCALITY_WAIT_HEARTBEATS)
-            grant = self._try_grant(mem_mb, preferred, allow_any, avoid)
+            yield heartbeat_jitter(rng, heartbeat_s)
+            if rm_cpu is not None:
+                yield from rm_cpu.execute(rm_mi)
+            allow_any = not preferred or heartbeats >= locality_wait
+            grant = self._try_grant(mem_mb, preferred, allow_any, avoid,
+                                    failed)
             if grant is not None:
-                if self.sim.trace is not None:
-                    self.sim.trace.complete(
+                if sim.trace is not None:
+                    sim.trace.complete(
                         "container.wait", requested_at, category="yarn",
                         node=grant.node, mem_mb=grant.mem_mb,
                         local=grant.local, heartbeats=heartbeats)
                 return grant
+            failed = (self._state, allow_any)
             heartbeats += 1
 
     def _master_penalty(self) -> float:
@@ -229,6 +264,7 @@ class YarnScheduler:
         if nm.down:
             return
         nm.release(grant.mem_mb)
+        self._state += 1
         if self.sim.trace is not None:
             self.sim.trace.instant("container.release", category="yarn",
                                    node=grant.node, mem_mb=grant.mem_mb)
@@ -241,6 +277,7 @@ class YarnScheduler:
         if nm is None or nm.down:
             return
         nm.mark_down()
+        self._state += 1
         if self.sim.trace is not None:
             self.sim.trace.instant("node.blacklist", category="yarn",
                                    node=name)
@@ -251,6 +288,7 @@ class YarnScheduler:
         if nm is None or not nm.down:
             return
         nm.mark_up()
+        self._state += 1
         if self.sim.trace is not None:
             self.sim.trace.instant("node.rejoin", category="yarn",
                                    node=name)

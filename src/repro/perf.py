@@ -195,6 +195,25 @@ def digest_mismatches(old: Dict, new: Dict) -> list:
     return mismatches
 
 
+def event_regressions(old: Dict, new: Dict) -> list:
+    """Cells whose digest matches ``old`` but that processed more events.
+
+    Event counts are deterministic, so on a cell whose simulated result
+    is bit-identical they can only grow through a simulator change.  A
+    cell whose digest differs (another host or libm) is not compared.
+    """
+    regressions = []
+    for section in ("web_scale", "table7", "terasort"):
+        new_cells = new.get(section, {})
+        for cell, data in old.get(section, {}).items():
+            after = new_cells.get(cell)
+            if (after is not None and after["digest"] == data["digest"]
+                    and after["processed"] > data["processed"]):
+                regressions.append(f"{section}/{cell}: {data['processed']}"
+                                   f" -> {after['processed']} events")
+    return regressions
+
+
 def speedup_report(pre: Dict, post: Dict) -> Dict:
     """events/sec and wall-clock ratios for cells present in both phases."""
     report: Dict = {}

@@ -12,6 +12,22 @@ object-free: the calendar entry carries the process itself, so the hot
 paths (network hops, CPU bursts, device time) allocate no Event at all.
 Use a real :class:`Timeout` when the wait must be cancellable or shared.
 
+In-place grants
+---------------
+While :meth:`Simulation.run` resumes a process that is the only thing
+left to run at this instant (a bare-delay wake, or an event with
+exactly one callback), it sets ``Simulation._sole``.  A resource may
+then grant an idle slot without scheduling a grant event
+(:meth:`repro.sim.resources.Resource.acquire`), provided no calendar
+entry is due at or before ``now``: under those conditions nothing could
+run between that event's push and its pop, so resuming the process on
+the spot skips one push, one pop and one trip through the drain loop.
+What stays visible is only the calendar's own accounting: one sequence
+number fewer (every later tie-break shifts by one, relative order
+kept) and one event fewer in :meth:`calendar_stats`.
+:meth:`step` never sets the flag, so it still processes exactly one
+calendar event.
+
 The design is intentionally close to the well-known SimPy API so the rest
 of the codebase reads naturally to anyone who has simulated systems
 before, but it is implemented here from scratch and trimmed to exactly
@@ -442,6 +458,9 @@ class Simulation:
         # calendar_stats can report true processed-event counts.
         self._ncancelled = 0
         self._dropped = 0
+        # True while run() resumes the only callback left at this instant
+        # (see "In-place grants" in the module docstring).
+        self._sole = False
         if trace is not None:
             trace.bind(self)
 
@@ -600,6 +619,7 @@ class Simulation:
                     # process directly — no Event, no callbacks — unless
                     # an interrupt superseded this entry's wake token.
                     if entry[4] == event._wait_token:
+                        self._sole = True
                         event._resume(_DELAY_FIRED)
                     else:
                         self._dropped += 1
@@ -609,14 +629,20 @@ class Simulation:
                     self._dropped += 1
                     continue
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
+                if len(callbacks) == 1:
+                    self._sole = True
+                    callbacks[0](event)
+                else:
+                    self._sole = False
+                    for callback in callbacks:
+                        callback(event)
                 if not event._ok and not event._defused:
                     # An un-waited-for failure must not pass silently.
                     raise event._value
         except StopSimulation as stop:
             return stop.value
         finally:
+            self._sole = False
             if self.trace is not None:
                 self.trace.instant("calendar", category="kernel",
                                    **self.calendar_stats())

@@ -8,6 +8,25 @@ Three primitives cover everything the reproduction needs:
     It also integrates busy time so utilisation can be sampled for the
     paper's resource-timeline figures.
 
+    :meth:`Resource.acquire` is the in-place variant of
+    :meth:`Resource.request` for a caller that yields the request at
+    once (``Cpu.execute``, the storage channel).  It takes a free slot
+    without scheduling a grant event when all of these hold:
+
+    * no request is queued and a slot is free;
+    * the kernel is resuming the only callback left at this instant
+      (``Simulation._sole``, see :mod:`repro.sim.kernel`);
+    * no calendar entry is due at or before ``now``.
+
+    The request then comes back already processed, so yielding it
+    resumes the caller on the spot.  Nothing could have run between the
+    grant event's push and its pop, so every later float, RNG draw and
+    resume order is bit-identical to :meth:`Resource.request`: the busy
+    integral is updated the same way, the occupancy a caller reads
+    next is the same, and the trace fields ``_enqueued_at`` and
+    ``_granted_at`` are stamped as an immediate grant stamps them.  In
+    every other case ``acquire`` is ``Request(self)``.
+
 :class:`Container`
     A continuous level with bounded capacity — used for memory
     occupancy accounting.
@@ -125,6 +144,39 @@ class Resource:
 
     def request(self) -> Request:
         """Claim one slot; the returned event fires when granted."""
+        return Request(self)
+
+    def acquire(self) -> Request:
+        """Claim one slot for a caller that yields the request at once.
+
+        Grants in place, with no calendar event, when that cannot be
+        observed (see the module docstring); otherwise ``Request(self)``.
+        """
+        sim = self.sim
+        users = self.users
+        if sim._sole and not self._queued and len(users) < self.capacity:
+            heap = sim._heap
+            now = sim._now
+            if not heap or heap[0][0] > now:
+                # Request.__init__ and _enqueue's fast path inlined, and
+                # the request left as the grant event's pop would leave
+                # it: acquire() runs once per CPU burst and disk request.
+                request = Request.__new__(Request)
+                request.sim = sim
+                request.callbacks = None
+                request._value = self
+                request._ok = True
+                request._defused = False
+                request._cancelled = False
+                request.resource = self
+                request._in_queue = False
+                stamp = now if sim.trace is not None else None
+                request._enqueued_at = stamp
+                request._granted_at = stamp
+                self._busy_integral += len(users) * (now - self._last_change)
+                self._last_change = now
+                users[request] = None
+                return request
         return Request(self)
 
     def release(self, request: Request) -> None:

@@ -212,6 +212,27 @@ def test_yarn_falls_back_after_locality_wait():
     assert when > yarn.LOCALITY_WAIT_HEARTBEATS * 0.3   # waited first
 
 
+def test_yarn_avoid_is_applied_before_the_locality_decision():
+    # A request whose only preferred node is avoided must still fall
+    # back to another node with room once any node is allowed.
+    sim, cluster, yarn = make_yarn(slaves=2)
+    first, second = (s.name for s in cluster.metered_servers)
+    assert yarn._try_grant(150, [first], False, avoid=[first]) is None
+    grant = yarn._try_grant(150, [first], True, avoid=[first])
+    assert grant is not None
+    assert (grant.node, grant.local) == (second, False)
+    assert (yarn.local_grants, yarn.total_grants) == (0, 1)
+    grants = []
+
+    def task():
+        grants.append((yield from yarn.allocate(
+            150, preferred=[first], avoid=[first],
+            max_heartbeats=2 * yarn.LOCALITY_WAIT_HEARTBEATS)))
+
+    sim.run(until=sim.process(task()))
+    assert grants[0] is not None and grants[0].node == second
+
+
 def test_yarn_release_restores_memory():
     sim, cluster, yarn = make_yarn(slaves=1)
     nm = yarn.nodes[cluster.metered_servers[0].name]

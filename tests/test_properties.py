@@ -1,18 +1,25 @@
 """Property-based tests (hypothesis) for core data structures/invariants."""
 
 import math
+import random
 from typing import Dict, List
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import hadoop_cluster
 from repro.core.metrics import speedup_per_doubling
-from repro.hardware import MemorySpec, PowerSpec, StorageSpec
+from repro.hardware import MemorySpec, PowerSpec, Storage, StorageSpec
+from repro.hardware.cpu import Cpu, CpuSpec
 from repro.hardware.nic import Nic, NicSpec
+from repro.mapreduce.config import default_config
+from repro.mapreduce.yarn import YarnScheduler
 from repro.net import FlowNetwork, Segment
 from repro.net.flows import Flow
-from repro.sim import Container, Resource, Simulation, TimeSeries
+from repro.sim import Container, Interrupt, Resource, Simulation, TimeSeries
 from repro.tco import TcoInputs, cluster_tco
+from repro.trace import Tracer
 from repro.web.params import tuned_calls_per_connection
 from repro.workloads import split_evenly
 
@@ -266,6 +273,210 @@ def test_heap_allocator_matches_rescan_oracle_bit_for_bit(
     assert actual == expected
 
 
+# -- in-place vcore/channel grants vs a grant event every time ----------------
+
+#: One process step: a CPU burst (MI), a disk read (bytes), a bare delay
+#: (half-seconds), a wait on one of two shared events, or an AllOf/AnyOf
+#: of two timeouts (half-seconds).  Few distinct values, so same-instant
+#: ties are common.
+_STEP = st.one_of(
+    st.tuples(st.just("cpu"), st.sampled_from((0.0, 250.0, 500.0, 1000.0))),
+    st.tuples(st.just("disk"), st.sampled_from((0.0, 4096.0, 1e6))),
+    st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just("shared"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.sampled_from(("allof", "anyof")),
+              st.integers(min_value=0, max_value=2),
+              st.integers(min_value=0, max_value=2)))
+
+#: (start in half-seconds, steps) of one process.
+_PROC = st.tuples(st.integers(min_value=0, max_value=3),
+                  st.lists(_STEP, min_size=1, max_size=5))
+
+#: (time in half-seconds, shared event index) of one trigger.
+_TRIGGER = st.tuples(st.integers(min_value=0, max_value=6),
+                     st.integers(min_value=0, max_value=1))
+
+#: (time in quarter-seconds, process index) of one interrupt.
+_INTERRUPT = st.tuples(st.integers(min_value=1, max_value=16),
+                       st.integers(min_value=0, max_value=7))
+
+
+def _contend(procs, triggers, interrupts, stops):
+    """Run one CPU/disk contention scenario; returns every step's
+    completion (in resume order), both busy integrals and the resource
+    trace spans."""
+    tracer = Tracer(categories={"resource"})
+    sim = Simulation(trace=tracer)
+    # Two vcores on one core: the burst rate depends on the occupancy
+    # read right after the grant.
+    cpu = Cpu(sim, CpuSpec(cores=1, threads_per_core=2,
+                           dmips_per_thread=1000.0, smt_efficiency=0.6))
+    disk = Storage(sim, StorageSpec(
+        write_bps=4.5e6, buffered_write_bps=9.3e6, read_bps=19.5e6,
+        buffered_read_bps=737e6, write_latency_s=0.018,
+        read_latency_s=0.007))
+    shared = [sim.event(), sim.event()]
+    log = []
+
+    def body(i, start, steps):
+        for j, (kind, *args) in enumerate([("sleep", start)] + steps):
+            try:
+                if kind == "cpu":
+                    yield from cpu.execute(args[0])
+                elif kind == "disk":
+                    yield from disk.read(args[0])
+                elif kind == "sleep":
+                    yield args[0] / 2
+                elif kind == "shared":
+                    yield shared[args[0]]
+                else:
+                    waits = [sim.timeout(a / 2) for a in args]
+                    yield (sim.all_of(waits) if kind == "allof"
+                           else sim.any_of(waits))
+            except Interrupt:
+                log.append((i, j, "interrupted", sim.now))
+            else:
+                log.append((i, j, sim.now))
+
+    processes = [sim.process(body(i, start, steps))
+                 for i, (start, steps) in enumerate(procs)]
+
+    def trigger(k):
+        # A plain callback: the shared event's waiters resume together.
+        if not shared[k].triggered:
+            shared[k].succeed(k)
+
+    for when, k in triggers:
+        sim.timeout(when / 2).add_callback(lambda _ev, k=k: trigger(k))
+
+    def interrupter(when, i):
+        yield when / 4
+        if processes[i].is_alive:
+            processes[i].interrupt("stop")
+
+    for when, i in interrupts:
+        if i < len(processes):
+            sim.process(interrupter(when, i))
+    for until in sorted(stops):
+        sim.run(until=until / 4)
+    sim.run()
+    spans = [(e.name, e.ts, e.dur) for e in tracer.log.spans("resource")]
+    return (log, cpu.vcores.busy_time(), disk.channel.busy_time(), spans,
+            sim.now)
+
+
+@given(st.lists(_PROC, min_size=1, max_size=8),
+       st.lists(_TRIGGER, max_size=3), st.lists(_INTERRUPT, max_size=3),
+       st.lists(st.integers(min_value=0, max_value=16), max_size=2))
+# Two wakes at one instant: the first must not be granted in place
+# while the second is still due.
+@example([(0, [("cpu", 500.0)]), (0, [("cpu", 500.0)])], [], [], [])
+# One event wakes two waiters: the first must not be granted in place
+# while the second callback has yet to run.
+@example([(0, [("shared", 0), ("cpu", 500.0)]),
+          (0, [("shared", 0), ("cpu", 500.0)])], [(2, 0)], [], [])
+@settings(deadline=None, max_examples=300)
+def test_in_place_grants_are_bit_identical(procs, triggers, interrupts,
+                                           stops):
+    with patch.object(Resource, "acquire", Resource.request):
+        expected = _contend(procs, triggers, interrupts, stops)
+    actual = _contend(procs, triggers, interrupts, stops)
+    # Exact equality: completion times, resume order, busy integrals
+    # and every resource wait/hold span.
+    assert actual == expected
+
+
+# -- YARN re-scan skip vs a scheduler that scans every round -------------------
+
+class _ScanEveryRound(YarnScheduler):
+    """Reference scheduler: ignores the last-failure memo and scans the
+    cluster on every round."""
+
+    def _try_grant(self, mem_mb, preferred, allow_any, avoid=(),
+                   failed=None):
+        return super()._try_grant(mem_mb, preferred, allow_any, avoid)
+
+
+#: (start in quarter-seconds, MB, preferred node or None, avoided node or
+#: None, give up after 3 heartbeats, hold in quarter-seconds).
+_CONTAINER = st.tuples(st.integers(min_value=0, max_value=20),
+                       st.sampled_from((150, 300, 450)),
+                       st.one_of(st.none(), st.integers(0, 2)),
+                       st.one_of(st.none(), st.integers(0, 2)),
+                       st.booleans(),
+                       st.integers(min_value=1, max_value=40))
+
+#: (time in quarter-seconds, node, goes down) of one blacklist/rejoin.
+_NODE_EVENT = st.tuples(st.integers(min_value=1, max_value=60),
+                        st.integers(min_value=0, max_value=2),
+                        st.booleans())
+
+
+def _schedule(scheduler_cls, seed, containers, node_events):
+    """Run one allocation scenario; returns every grant with its time,
+    every grant's heartbeat count, the locality counters and the RNG."""
+    tracer = Tracer(categories={"yarn"})
+    sim = Simulation(trace=tracer)
+    cluster = hadoop_cluster(sim, "edison", 3)
+    master = next(s for s in cluster if s.name == "master")
+    yarn = scheduler_cls(sim, cluster.metered_servers,
+                         default_config("edison"), random.Random(seed),
+                         master=master)
+    names = [s.name for s in cluster.metered_servers]
+    # Blacklistings per node: a container whose node went down since
+    # its grant died with it and is never released.
+    downs = dict.fromkeys(names, 0)
+    grants = []
+
+    def task(k, start, mem, preferred, avoid, speculative, hold):
+        yield start / 4
+        grant = yield from yarn.allocate(
+            mem, preferred=[] if preferred is None else [names[preferred]],
+            max_heartbeats=3 if speculative else None,
+            avoid=() if avoid is None else (names[avoid],))
+        grants.append((k, sim.now, grant))
+        if grant is not None:
+            epoch = downs[grant.node]
+            yield hold / 4
+            if downs[grant.node] == epoch:
+                yarn.release(grant)
+
+    for k, spec in enumerate(containers):
+        sim.process(task(k, *spec))
+
+    def flip(_ev, name, down):
+        if down:
+            downs[name] += not yarn.nodes[name].down
+            yarn.mark_node_down(name)
+        else:
+            yarn.mark_node_up(name)
+
+    for when, node, down in node_events:
+        sim.timeout(when / 4).add_callback(
+            lambda ev, name=names[node], down=down: flip(ev, name, down))
+    # Requests can wait for ever on a blacklisted cluster: stop the clock.
+    sim.run(until=60.0)
+    waits = [(e.ts, e.dur, e.attrs["heartbeats"], e.node)
+             for e in tracer.log.spans("yarn", "container.wait")]
+    return (grants, waits, yarn.local_grants, yarn.total_grants,
+            yarn.rng.getstate())
+
+
+@given(st.integers(min_value=0, max_value=2**16),
+       st.lists(_CONTAINER, min_size=1, max_size=12),
+       st.lists(_NODE_EVENT, max_size=8))
+# A request that failed on a fully blacklisted cluster must see a node
+# that rejoins.
+@example(1, [(4, 150, None, None, False, 4)],
+         [(1, 0, True), (1, 1, True), (1, 2, True), (20, 0, False)])
+@settings(deadline=None, max_examples=150)
+def test_yarn_rescan_skip_matches_scan_every_round(seed, containers,
+                                                   node_events):
+    expected = _schedule(_ScanEveryRound, seed, containers, node_events)
+    actual = _schedule(YarnScheduler, seed, containers, node_events)
+    assert actual == expected
+
+
 # -- hardware specs ---------------------------------------------------------------
 
 @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
@@ -292,7 +503,6 @@ def test_storage_io_time_positive_and_additive(nbytes):
     spec = StorageSpec(write_bps=4.5e6, buffered_write_bps=9.3e6,
                        read_bps=19.5e6, buffered_read_bps=737e6,
                        write_latency_s=0.018, read_latency_s=0.007)
-    from repro.hardware import Storage
     sim = Simulation()
     disk = Storage(sim, spec)
     t = disk.io_time("read", nbytes)

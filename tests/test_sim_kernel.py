@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from repro.hardware.cpu import Cpu, CpuSpec
+from repro.mapreduce import JOB_FACTORIES
+from repro.mapreduce.runtime import JobRunner
 from repro.sim import (
     EmptySchedule, Event, Interrupt, Resource, Simulation, SimulationError,
 )
+from repro.trace import Tracer
 
 
 def test_clock_starts_at_zero():
@@ -483,3 +487,85 @@ def test_resource_fifo_grant_order():
         sim.process(worker(idx))
     sim.run()
     assert order == sorted(arrivals, key=arrivals.__getitem__)
+
+
+# -- event accounting with in-place grants ------------------------------------
+
+def _one_burst(sim):
+    cpu = Cpu(sim, CpuSpec(cores=1, threads_per_core=2,
+                           dmips_per_thread=1000.0, smt_efficiency=0.6))
+    sim.process(cpu.execute(500.0))
+    return cpu
+
+
+def test_step_processes_exactly_one_event():
+    # step() never grants in place: spawn, vcore grant, burst end and
+    # process termination are four calendar events, one per step.
+    sim = Simulation()
+    _one_burst(sim)
+    processed = []
+    while True:
+        try:
+            sim.step()
+        except EmptySchedule:
+            break
+        processed.append(sim.calendar_stats()["processed"])
+    assert processed == [1, 2, 3, 4]
+    assert sim.now == 0.5
+
+
+def test_run_grants_an_idle_vcore_without_an_event():
+    sim = Simulation()
+    cpu = _one_burst(sim)
+    sim.run()
+    stats = sim.calendar_stats()
+    assert (stats["scheduled"], stats["processed"]) == (3, 3)
+    assert sim.now == 0.5
+    assert cpu.vcores.busy_time() == 0.5
+
+
+def test_calendar_identity_holds_with_grants_drops_and_stops():
+    sim = Simulation()
+    cpu = Cpu(sim, CpuSpec(cores=1, threads_per_core=2,
+                           dmips_per_thread=1000.0, smt_efficiency=0.6))
+
+    def worker(delay, work):
+        try:
+            yield delay
+            yield from cpu.execute(work)
+        except Interrupt:
+            pass
+
+    workers = [sim.process(worker(0.1 * (i % 4), 300.0 + 50 * i))
+               for i in range(8)]
+
+    def interrupter():
+        yield 0.25
+        for proc in workers[::3]:
+            if proc.is_alive:
+                proc.interrupt("stop")
+        sim.timeout(5.0).cancel()
+
+    sim.process(interrupter())
+
+    def identity_holds():
+        s = sim.calendar_stats()
+        return s["processed"] == s["scheduled"] - s["heap_now"] - s["dropped"]
+
+    sim.run(until=0.3)
+    assert sim.calendar_stats()["heap_now"] > 0
+    assert identity_holds()
+    sim.run()
+    stats = sim.calendar_stats()
+    assert stats["dropped"] > 0 and stats["heap_now"] == 0
+    assert identity_holds()
+
+
+def test_traced_and_untraced_runs_process_the_same_events():
+    def processed(trace):
+        spec, config = JOB_FACTORIES["pi"]("edison", 2)
+        runner = JobRunner("edison", 2, config=config, seed=11, trace=trace)
+        report = runner.run(spec)
+        return runner.sim.calendar_stats()["processed"], report.seconds
+
+    assert processed(None) == processed(Tracer())

@@ -69,7 +69,7 @@ def autoscale_digests(disabled):
     shaped_level = shaped.run_shaped(shape, 24.0, calls=5)
     hybrid = HybridWebDeployment(edison_web=2, dell_web=1, cache=1,
                                  seed=DAY_SEED, autoscale=autoscale)
-    hybrid_level = hybrid.run_day(shape, 24.0, calls=5)
+    hybrid_level = hybrid.run_shaped(shape, 24.0, calls=5)
     return {"level": asdict(level), "shaped": asdict(shaped_level),
             "hybrid": asdict(hybrid_level),
             "hybrid_joules": hybrid.meter.energy_joules()}

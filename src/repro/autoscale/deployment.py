@@ -1,11 +1,12 @@
 """The mixed Edison/R620 web testbed under autoscaler management.
 
-A :class:`HybridWebDeployment` is the autoscaled analogue of
-:class:`repro.web.WebServiceDeployment`: one fresh simulation holding
-a :func:`~repro.cluster.hybrid_web_cluster`, per-platform service
-costs and connection limits on each web node, a capacity-weighted LB
-rotation, and — when an enabled :class:`AutoscaleConfig` is passed —
-the full control plane (pool, actuator, controller, ledger).
+A :class:`HybridWebDeployment` is a :class:`repro.web.WebServiceDeployment`
+whose cluster is a :func:`~repro.cluster.hybrid_web_cluster`: the base
+class wires each web node's costs, limits and memory from its own
+platform, and runs the shaped day.  What the subclass adds is its own:
+a capacity-weighted LB rotation, the fleet pool, and — when an enabled
+:class:`AutoscaleConfig` is passed — the full control plane (actuator,
+controller, ledger).
 
 With autoscaling disabled (the default) nothing control-plane-shaped
 is constructed: the deployment is just a static heterogeneous fleet
@@ -15,15 +16,13 @@ bit-identical whether or not this module ever existed.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..cluster import hybrid_web_cluster
 from ..hardware import ServerSpec
-from ..sim import RngStreams, Simulation
 from ..web import params as P
-from ..web.deployment import run_shaped
-from ..web.httperf import HttperfDriver, LevelResult
-from ..web.nodes import CacheNode, DatabaseNode, WebServerNode
+from ..web.deployment import WebServiceDeployment
+from ..web.httperf import LevelResult
 from ..web.rotation import WeightedRotation
 from .actuator import FleetActuator
 from .config import AutoscaleConfig
@@ -32,7 +31,7 @@ from .ledger import AutoscaleLedger
 from .pool import ACTIVE, OFF, FleetPool, PoolNode
 
 
-class HybridWebDeployment:
+class HybridWebDeployment(WebServiceDeployment):
     """Edisons and R620s in one rotation, optionally autoscaled."""
 
     def __init__(self, edison_web: int = 6, dell_web: int = 1,
@@ -42,38 +41,10 @@ class HybridWebDeployment:
                  autoscale: Optional[AutoscaleConfig] = None,
                  edison_spec: Optional[ServerSpec] = None,
                  trace=None):
-        self.platform = "hybrid"
-        self.scale = f"{edison_web}e+{dell_web}d"
-        self.workload = workload if workload is not None else P.WebWorkload()
-        self.sim = Simulation(trace=trace)
-        self.rng = RngStreams(seed)
-        kwargs = {}
-        if edison_spec is not None:
-            kwargs["edison_spec"] = edison_spec
-        self.cluster = hybrid_web_cluster(self.sim, edison_web, dell_web,
-                                          cache, **kwargs)
-        topo = self.cluster.topology
-        self.db_nodes: List[DatabaseNode] = [
-            DatabaseNode(self.cluster.servers[f"db-{i}"],
-                         self.rng.stream(f"db-{i}"))
-            for i in range(2)
-        ]
-        cache_servers = [s for n, s in self.cluster.servers.items()
-                         if n.startswith("cache-")]
-        self.cache_nodes: List[CacheNode] = [CacheNode(s)
-                                             for s in cache_servers]
-        web_servers = [s for n, s in self.cluster.servers.items()
-                       if n.startswith("web-")]
-        self.web_nodes: List[WebServerNode] = [
-            WebServerNode(self.sim, s, topo, P.COSTS[s.platform],
-                          P.LIMITS[s.platform], self.workload,
-                          self.rng.stream(f"web-{i}"),
-                          self.cache_nodes, self.db_nodes)
-            for i, s in enumerate(web_servers)
-        ]
-        self.client_names = [f"client-{i}" for i in range(8)]
-        self.telemetry = None
-        self.last_driver: Optional[HttperfDriver] = None
+        self._layout = (edison_web, dell_web, cache)
+        super().__init__("hybrid", f"{edison_web}e+{dell_web}d",
+                         workload, seed=seed, edison_spec=edison_spec,
+                         trace=trace)
         # The weighted rotation: every backend registered at its
         # platform's tuned capacity, so the Dell takes ~12x an
         # Edison's share instead of an equal one.
@@ -84,8 +55,6 @@ class HybridWebDeployment:
         self.pool = FleetPool([
             PoolNode(web, P.PER_SERVER_CAPACITY_RPS[web.server.platform])
             for web in self.web_nodes])
-        self._reserve_memory()
-        self.meter = self.cluster.attach_meter(interval=0.25)
         # Strictly opt-in, like resilience: a disabled config leaves
         # no controller, no ledger, no extra processes, no RNG draws.
         self.autoscale = (autoscale if autoscale is not None
@@ -96,41 +65,16 @@ class HybridWebDeployment:
         if self.autoscale is not None:
             self.ledger = AutoscaleLedger()
 
-    def _reserve_memory(self) -> None:
-        for node in self.web_nodes:
-            frac = P.MEMORY_RESERVATION[(node.server.platform, "web")]
-            node.server.memory.reserve(
-                frac * node.server.memory.capacity_bytes)
-        for node in self.cache_nodes:
-            frac = P.MEMORY_RESERVATION[(node.server.platform, "cache")]
-            node.server.memory.reserve(
-                frac * node.server.memory.capacity_bytes)
-
-    # -- fault plumbing (same contract as WebServiceDeployment) -----------
-
-    def _on_fault_event(self, event: str, node: str, kind: str) -> None:
-        if event != "up" or kind not in ("crash", "power", "admin"):
-            return
-        for web in self.web_nodes:
-            if web.server.name == node:
-                web.reset()
-                return
+    def _build_cluster(self, **kwargs):
+        return hybrid_web_cluster(self.sim, *self._layout, **kwargs)
 
     def _ensure_injector(self):
         """The actuator needs ``sim.faults``; attach an empty one."""
         if self.sim.faults is None:
-            from ..faults import FaultInjector, FaultPlan
-            FaultInjector(self.cluster, FaultPlan.empty())
+            from ..faults import FaultPlan
+            return self.attach_faults(FaultPlan.empty())
         self.sim.faults.add_listener(self._on_fault_event)
         return self.sim.faults
-
-    # -- capacity ---------------------------------------------------------
-
-    def target_rps(self) -> float:
-        """Peak offered rate the full fleet is tuned for."""
-        factor = P.workload_factor(self.workload.image_fraction,
-                                   self.workload.cache_hit_ratio)
-        return self.pool.total_capacity_rps() * factor
 
     # -- running one day --------------------------------------------------
 
@@ -168,9 +112,9 @@ class HybridWebDeployment:
         self.controller.start(until=until)
         return self.controller
 
-    def run_day(self, shape, duration: float, warmup: float = 0.0,
-                calls: int = 5,
-                collect_delays: bool = False) -> LevelResult:
+    def run_shaped(self, shape, duration: float, warmup: float = 0.0,
+                   calls: int = 5,
+                   collect_delays: bool = False) -> LevelResult:
         """Drive one shaped day through the weighted rotation.
 
         With an enabled config the autoscaler is prepared first (sized
@@ -180,6 +124,6 @@ class HybridWebDeployment:
         """
         if self.autoscale is not None and self.controller is None:
             self.prepare_autoscaler(shape.rate(0.0), until=duration)
-        return run_shaped(self, shape, duration, warmup=warmup,
-                          calls=calls, rotation=self.rotation,
-                          collect_delays=collect_delays)
+        return super().run_shaped(shape, duration, warmup=warmup,
+                                  calls=calls,
+                                  collect_delays=collect_delays)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.records import Record, Report, p95
+from ..core.records import Record, Report
 from ..tco.model import amortized_hardware_usd, energy_cost_usd
 from ..web.loadshape import ShapedLoad
 from .config import AutoscaleConfig
@@ -194,27 +194,17 @@ def _fleet_cost_usd(cluster) -> float:
     return sum(s.spec.node_cost_usd for s in cluster.metered_servers)
 
 
-def _build_arm(label: str, deployment, telemetry, level,
-               duration: float, ledger=None) -> AutoscaleArm:
-    slo = telemetry.slo_report()
-    joules = deployment.meter.energy_joules()
-    delays = (deployment.last_driver.delays
-              if deployment.last_driver is not None else [])
+def _build_arm(label: str, deployment, level,
+               duration: float) -> AutoscaleArm:
+    metrics = deployment.day_metrics(level)
+    ledger = getattr(deployment, "ledger", None)
     return AutoscaleArm(
         label=label, platform=deployment.platform,
         nodes=_fleet_counts(deployment.cluster),
-        seconds=duration, joules=joules,
-        ok_calls=level.ok_calls,
-        errors=level.error_calls + level.timeout_calls
-        + level.failed_connections,
-        client_failures=slo.client_failures,
-        availability=slo.availability,
-        availability_met=slo.availability_met,
-        p95_s=p95(delays),
-        mean_power_w=level.mean_power_w,
+        seconds=duration, **metrics,
         hardware_usd=amortized_hardware_usd(
             _fleet_cost_usd(deployment.cluster), duration),
-        energy_usd=energy_cost_usd(joules),
+        energy_usd=energy_cost_usd(metrics["joules"]),
         boot_j=ledger.boot_joules if ledger is not None else 0.0,
         drain_j=ledger.drain_joules if ledger is not None else 0.0,
         counters=dict(ledger.counters) if ledger is not None else {},
@@ -227,35 +217,23 @@ def autoscale_experiment(plan: DayPlan, trace=None) -> AutoscaleReport:
     from ..telemetry import Telemetry    # deferred: import cycle
     from ..web import WebServiceDeployment
 
-    def static_arm(label: str, platform: str, scale: str) -> AutoscaleArm:
-        deployment = WebServiceDeployment(platform, scale, seed=plan.seed,
-                                          trace=trace)
-        telemetry = Telemetry()
-        telemetry.attach_web(deployment, until=plan.duration_s)
+    def arm(label: str, deployment) -> AutoscaleArm:
+        Telemetry().attach_web(deployment, until=plan.duration_s)
         level = deployment.run_shaped(plan.shape, plan.duration_s,
                                       calls=plan.calls,
                                       collect_delays=True)
-        return _build_arm(label, deployment, telemetry, level,
-                          plan.duration_s)
+        return _build_arm(label, deployment, level, plan.duration_s)
 
-    def hybrid_arm() -> AutoscaleArm:
-        deployment = HybridWebDeployment(
+    arms = (
+        arm("static-edison", WebServiceDeployment(
+            "edison", plan.edison_scale, seed=plan.seed, trace=trace)),
+        arm("static-dell", WebServiceDeployment(
+            "dell", plan.dell_scale, seed=plan.seed, trace=trace)),
+        arm("autoscaled-hybrid", HybridWebDeployment(
             edison_web=plan.hybrid_edison_web,
             dell_web=plan.hybrid_dell_web,
             cache=plan.hybrid_cache, seed=plan.seed,
-            autoscale=plan.autoscale, trace=trace)
-        telemetry = Telemetry()
-        telemetry.attach_web(deployment, until=plan.duration_s)
-        level = deployment.run_day(plan.shape, plan.duration_s,
-                                   calls=plan.calls, collect_delays=True)
-        return _build_arm("autoscaled-hybrid", deployment, telemetry,
-                          level, plan.duration_s,
-                          ledger=deployment.ledger)
-
-    arms = (
-        static_arm("static-edison", "edison", plan.edison_scale),
-        static_arm("static-dell", "dell", plan.dell_scale),
-        hybrid_arm(),
+            autoscale=plan.autoscale, trace=trace)),
     )
     peak = plan.shape.peak_bound()
     return AutoscaleReport(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.records import Record, Report, p95
+from ..core.records import Record, Report
 from ..web.loadshape import ShapedLoad
 from .config import DvfsConfig, GovernorConfig
 from .scorecard import DVFS_SEED, ProportionalityScorecard
@@ -167,35 +167,20 @@ def _run_arm(plan: DvfsPlan, governor: str, platform: str,
              shape_name: str, shape: ShapedLoad, trace=None) -> DvfsArm:
     from ..telemetry import Telemetry       # deferred: import cycle
     from ..web import WebServiceDeployment
-    from .plane import DvfsPlane
+    from .plane import attach_web
 
     deployment = WebServiceDeployment(platform, plan.scale(platform),
                                       seed=plan.seed, trace=trace)
     telemetry = Telemetry()
     telemetry.attach_web(deployment, until=plan.duration_s)
-    plane = DvfsPlane(deployment.sim,
-                      deployment.cluster.metered_servers,
-                      plan.config(governor), telemetry=telemetry,
-                      meter=deployment.meter)
-    plane.start(until=plan.duration_s)
+    plane = attach_web(deployment, plan.config(governor),
+                       until=plan.duration_s)
     level = deployment.run_shaped(shape, plan.duration_s,
                                   calls=plan.calls, collect_delays=True)
-    slo = telemetry.slo_report()
-    delays = (deployment.last_driver.delays
-              if deployment.last_driver is not None else [])
     return DvfsArm(
         governor=governor, platform=platform, shape_name=shape_name,
-        seconds=plan.duration_s,
-        joules=deployment.meter.energy_joules(),
-        ok_calls=level.ok_calls,
-        errors=level.error_calls + level.timeout_calls
-        + level.failed_connections,
-        client_failures=slo.client_failures,
-        availability=slo.availability,
-        availability_met=slo.availability_met,
-        latency_met=slo.latency_met,
-        p95_s=p95(delays),
-        mean_power_w=level.mean_power_w,
+        seconds=plan.duration_s, **deployment.day_metrics(level),
+        latency_met=telemetry.slo_report().latency_met,
         transitions=plane.counters["transitions"],
         residency_s={k: round(v, 6)
                      for k, v in sorted(

@@ -141,7 +141,7 @@ def measure_proportionality(platform: str, scale: str = "1/8",
     from ..telemetry import Telemetry       # deferred: import cycle
     from ..web import WebServiceDeployment
     from ..web.loadshape import DiurnalShape, ShapedLoad
-    from .plane import DvfsPlane
+    from .plane import attach_web
 
     if duration_s <= warmup_s:
         raise ValueError("duration_s must exceed warmup_s")
@@ -156,13 +156,8 @@ def measure_proportionality(platform: str, scale: str = "1/8",
         deployment = WebServiceDeployment(platform, scale, seed=seed)
         rate = fraction * deployment.target_rps()
         if enabled:
-            telemetry = Telemetry()
-            telemetry.attach_web(deployment, until=duration_s)
-            plane = DvfsPlane(deployment.sim,
-                              deployment.cluster.metered_servers,
-                              dvfs, telemetry=telemetry,
-                              meter=deployment.meter)
-            plane.start(until=duration_s)
+            Telemetry().attach_web(deployment, until=duration_s)
+            attach_web(deployment, dvfs, until=duration_s)
         shape = ShapedLoad(DiurnalShape(base_rps=rate, peak_rps=rate,
                                         period_s=duration_s))
         level = deployment.run_shaped(shape, duration_s, warmup=warmup_s,

@@ -11,9 +11,10 @@ restarts its 3-minute tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..cluster import web_cluster
+from ..core.records import p95
 from ..hardware import ServerSpec
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.config import ResilienceConfig
@@ -34,8 +35,6 @@ class WebServiceDeployment:
                  limits: Optional[P.ConnectionLimits] = None,
                  trace=None,
                  resilience: Optional[ResilienceConfig] = None):
-        if platform not in P.COSTS:
-            raise ValueError(f"unknown platform {platform!r}")
         self.platform = platform
         self.scale = scale
         self.workload = workload if workload is not None else P.WebWorkload()
@@ -44,10 +43,8 @@ class WebServiceDeployment:
         kwargs = {}
         if edison_spec is not None:
             kwargs["edison_spec"] = edison_spec
-        self.cluster = web_cluster(self.sim, platform, scale, **kwargs)
+        self.cluster = self._build_cluster(**kwargs)
         topo = self.cluster.topology
-        costs = P.COSTS[platform]
-        node_limits = limits if limits is not None else P.LIMITS[platform]
         self.db_nodes: List[DatabaseNode] = [
             DatabaseNode(self.cluster.servers[f"db-{i}"],
                          self.rng.stream(f"db-{i}"))
@@ -59,8 +56,12 @@ class WebServiceDeployment:
                                              for s in cache_servers]
         web_servers = [s for n, s in self.cluster.servers.items()
                        if n.startswith("web-")]
+        # Costs and limits follow each server's own platform, so a
+        # mixed fleet wires every node the way its hardware dictates.
         self.web_nodes: List[WebServerNode] = [
-            WebServerNode(self.sim, s, topo, costs, node_limits,
+            WebServerNode(self.sim, s, topo, P.COSTS[s.platform],
+                          limits if limits is not None
+                          else P.LIMITS[s.platform],
                           self.workload, self.rng.stream(f"web-{i}"),
                           self.cache_nodes, self.db_nodes)
             for i, s in enumerate(web_servers)
@@ -70,9 +71,12 @@ class WebServiceDeployment:
         #: deployment can report client-side outcomes (timeouts) that
         #: no server-side scrape can see.
         self.telemetry = None
-        #: The driver of the most recent :meth:`run_level` (exposes
-        #: collected per-call delays for percentile reporting).
+        #: The driver of the most recent run (exposes collected
+        #: per-call delays for percentile reporting).
         self.last_driver: Optional[HttperfDriver] = None
+        #: The load balancer of shaped days: ``None`` is plain
+        #: round-robin over :attr:`web_nodes`.
+        self.rotation = None
         # Resilience is strictly opt-in; with it off nothing below
         # exists and runs stay bit-identical to the historical path.
         self.resilience = (resilience if resilience is not None
@@ -95,14 +99,18 @@ class WebServiceDeployment:
         self._reserve_memory()
         self.meter = self.cluster.attach_meter(interval=0.25)
 
+    def _build_cluster(self, **kwargs):
+        """The Table 6 layout for this platform and scale."""
+        return web_cluster(self.sim, self.platform, self.scale, **kwargs)
+
     def _reserve_memory(self) -> None:
         """Pin the steady-state RAM footprints from Section 5.1.2."""
-        for node in self.web_nodes:
-            frac = P.MEMORY_RESERVATION[(self.platform, "web")]
-            node.server.memory.reserve(frac * node.server.memory.capacity_bytes)
-        for node in self.cache_nodes:
-            frac = P.MEMORY_RESERVATION[(self.platform, "cache")]
-            node.server.memory.reserve(frac * node.server.memory.capacity_bytes)
+        for role, nodes in (("web", self.web_nodes),
+                            ("cache", self.cache_nodes)):
+            for node in nodes:
+                memory = node.server.memory
+                frac = P.MEMORY_RESERVATION[(node.server.platform, role)]
+                memory.reserve(frac * memory.capacity_bytes)
 
     # -- fault injection ---------------------------------------------------
 
@@ -141,10 +149,11 @@ class WebServiceDeployment:
 
     def target_rps(self) -> float:
         """The hand-tuned peak offered rate for this deployment."""
-        per_server = P.PER_SERVER_CAPACITY_RPS[self.platform]
+        capacity = sum(P.PER_SERVER_CAPACITY_RPS[web.server.platform]
+                       for web in self.web_nodes)
         factor = P.workload_factor(self.workload.image_fraction,
                                    self.workload.cache_hit_ratio)
-        return per_server * self.web_server_count * factor
+        return capacity * factor
 
     # -- running one level ------------------------------------------------
 
@@ -160,11 +169,58 @@ class WebServiceDeployment:
         ``collect_delays`` the driver keeps every in-window per-call
         delay (``self.last_driver.delays``) for percentile reporting.
         """
-        if duration <= warmup:
-            raise ValueError("duration must exceed warmup")
         if calls is None:
             calls = P.tuned_calls_per_connection(concurrency,
                                                  self.target_rps())
+        driver = self._drive(
+            lambda d: d.generate(concurrency, calls, until=duration),
+            duration, warmup, collect_delays,
+            resilience=self.resilience, ledger=self.resilience_ledger,
+            retry_rng=self._retry_rng, breakers=self.breakers)
+        if self.resilience_ledger is not None and self.breakers is not None:
+            self.resilience_ledger.counters["breaker_opens"] = sum(
+                b.open_count for b in self.breakers.values())
+        if self.telemetry is not None:
+            # Client-side failures (give-ups after the timeout) never
+            # reach a server-side log; hand them to the monitoring
+            # plane so the SLO error budget charges them too.
+            self.telemetry.note_client_outcomes(
+                timeouts=driver.stats.timeout_calls)
+        return self._level_result(driver, concurrency, calls,
+                                  duration, warmup)
+
+    # -- running a shaped (time-varying) day -------------------------------
+
+    def run_shaped(self, shape, duration: float, warmup: float = 0.0,
+                   calls: int = 5,
+                   collect_delays: bool = False) -> LevelResult:
+        """Drive a :class:`~repro.web.loadshape.ShapedLoad` day.
+
+        Same deployment, same backends, but arrivals follow the
+        diurnal + flash-crowd rate function instead of one fixed
+        concurrency, dispatched through :attr:`rotation`.  The reported
+        ``concurrency`` is 0 (there is no single level).  The resilient
+        driver options deliberately stay off here: shaped days measure
+        provisioning, not gray-failure mitigation.
+        """
+        driver = self._drive(
+            lambda d: d.generate_shaped(shape, calls, until=duration,
+                                        rotation=self.rotation),
+            duration, warmup, collect_delays)
+        if self.telemetry is not None:
+            # Abandoned calls *and* connections that never established
+            # (SYN retries exhausted) are user-visible outages no server
+            # log sees; both charge the availability SLO.
+            self.telemetry.note_client_outcomes(
+                timeouts=driver.stats.timeout_calls,
+                give_ups=driver.stats.failed_connections)
+        return self._level_result(driver, 0, calls, duration, warmup)
+
+    def _drive(self, generate, duration: float, warmup: float,
+               collect_delays: bool, **options) -> HttperfDriver:
+        """Start a driver on ``generate(driver)`` and run to ``duration``."""
+        if duration <= warmup:
+            raise ValueError("duration must exceed warmup")
         if self.sim.faults is not None:
             # Covers injectors attached directly rather than through
             # attach_faults (add_listener deduplicates).
@@ -173,23 +229,17 @@ class WebServiceDeployment:
             self.sim, self.cluster.topology, self.web_nodes,
             self.client_names, self.workload,
             self.rng.stream("arrivals"), collect_after=warmup,
-            resilience=self.resilience, ledger=self.resilience_ledger,
-            retry_rng=self._retry_rng, breakers=self.breakers,
-            collect_delays=collect_delays)
+            collect_delays=collect_delays, **options)
         self.last_driver = driver
-        self.sim.process(driver.generate(concurrency, calls, until=duration))
+        self.sim.process(generate(driver))
         self.meter.start(until=duration)
         self.sim.run(until=duration)
-        window = duration - warmup
+        return driver
+
+    def _level_result(self, driver: HttperfDriver, concurrency: int,
+                      calls: int, duration: float,
+                      warmup: float) -> LevelResult:
         stats = driver.stats
-        if self.resilience_ledger is not None and self.breakers is not None:
-            self.resilience_ledger.counters["breaker_opens"] = sum(
-                b.open_count for b in self.breakers.values())
-        if self.telemetry is not None:
-            # Client-side failures (give-ups after the timeout) never
-            # reach a server-side log; hand them to the monitoring
-            # plane so the SLO error budget charges them too.
-            self.telemetry.note_client_outcomes(timeouts=stats.timeout_calls)
         counted = max(1, stats.ok_calls)
         power_samples = [v for t, v in self.meter.series.pairs()
                          if t >= warmup]
@@ -199,7 +249,7 @@ class WebServiceDeployment:
             platform=self.platform,
             concurrency=concurrency,
             calls_per_connection=calls,
-            window_s=window,
+            window_s=duration - warmup,
             ok_calls=stats.ok_calls,
             error_calls=stats.error_calls,
             timeout_calls=stats.timeout_calls,
@@ -210,22 +260,27 @@ class WebServiceDeployment:
             mean_power_w=mean_power,
         )
 
-    # -- running a shaped (time-varying) day -------------------------------
+    # -- the plane arms' shared day metrics ---------------------------------
 
-    def run_shaped(self, shape, duration: float, warmup: float = 0.0,
-                   calls: int = 5, rotation=None,
-                   collect_delays: bool = False) -> LevelResult:
-        """Drive a :class:`~repro.web.loadshape.ShapedLoad` day.
+    def day_metrics(self, level: LevelResult) -> Dict:
+        """The web-arm fields every plane sweep reports for ``level``.
 
-        The static arms of the autoscaling experiment run through
-        here: same deployment, same backends, but arrivals follow the
-        diurnal + flash-crowd rate function instead of one fixed
-        concurrency.  The reported ``concurrency`` is 0 (there is no
-        single level).
+        Needs an attached telemetry plane (the SLO verdicts come from
+        its TSDB) and a run with ``collect_delays`` for the p95.
         """
-        return run_shaped(self, shape, duration, warmup=warmup,
-                          calls=calls, rotation=rotation,
-                          collect_delays=collect_delays)
+        slo = self.telemetry.slo_report()
+        delays = (self.last_driver.delays
+                  if self.last_driver is not None else [])
+        return dict(
+            joules=self.meter.energy_joules(),
+            ok_calls=level.ok_calls,
+            errors=level.error_calls + level.timeout_calls
+            + level.failed_connections,
+            client_failures=slo.client_failures,
+            availability=slo.availability,
+            availability_met=slo.availability_met,
+            p95_s=p95(delays),
+            mean_power_w=level.mean_power_w)
 
     # -- web-server-side logs (Table 7) --------------------------------------
 
@@ -235,62 +290,6 @@ class WebServiceDeployment:
         for node in self.web_nodes:
             records.extend(r for r in node.records if r.start >= after)
         return records
-
-
-def run_shaped(deployment, shape, duration: float, warmup: float = 0.0,
-               calls: int = 5, rotation=None,
-               collect_delays: bool = False) -> LevelResult:
-    """Run one shaped day against any web-style deployment.
-
-    Duck-typed over the deployment surface (``sim``, ``cluster``,
-    ``web_nodes``, ``client_names``, ``workload``, ``rng``, ``meter``,
-    ``telemetry``) so :class:`WebServiceDeployment` and the autoscale
-    package's hybrid deployment share one code path.  The resilient
-    driver options deliberately stay off here: shaped days measure
-    provisioning, not gray-failure mitigation.
-    """
-    if duration <= warmup:
-        raise ValueError("duration must exceed warmup")
-    sim = deployment.sim
-    if sim.faults is not None:
-        sim.faults.add_listener(deployment._on_fault_event)
-    driver = HttperfDriver(
-        sim, deployment.cluster.topology, deployment.web_nodes,
-        deployment.client_names, deployment.workload,
-        deployment.rng.stream("arrivals"), collect_after=warmup,
-        collect_delays=collect_delays)
-    deployment.last_driver = driver
-    sim.process(driver.generate_shaped(shape, calls, until=duration,
-                                       rotation=rotation))
-    deployment.meter.start(until=duration)
-    sim.run(until=duration)
-    stats = driver.stats
-    if deployment.telemetry is not None:
-        # Abandoned calls *and* connections that never established
-        # (SYN retries exhausted) are user-visible outages no server
-        # log sees; both charge the availability SLO.
-        deployment.telemetry.note_client_outcomes(
-            timeouts=stats.timeout_calls,
-            give_ups=stats.failed_connections)
-    counted = max(1, stats.ok_calls)
-    power_samples = [v for t, v in deployment.meter.series.pairs()
-                     if t >= warmup]
-    mean_power = (sum(power_samples) / len(power_samples)
-                  if power_samples else deployment.cluster.idle_watts())
-    return LevelResult(
-        platform=deployment.platform,
-        concurrency=0,
-        calls_per_connection=calls,
-        window_s=duration - warmup,
-        ok_calls=stats.ok_calls,
-        error_calls=stats.error_calls,
-        timeout_calls=stats.timeout_calls,
-        failed_connections=stats.failed_connections,
-        connections=stats.connections,
-        syn_retries=stats.syn_retries,
-        mean_delay_s=stats.delay_sum_s / counted,
-        mean_power_w=mean_power,
-    )
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,13 @@ from repro.autoscale import (ACTIVE, BOOTING, DRAINING, OFF, ActuationConfig,
                              PoolNode, PredictivePolicy, ReactivePolicy,
                              make_policy)
 from repro.cluster import hybrid_web_cluster
+from repro.core import paperdata as paper
+from repro.faults import FaultPlan, node_set_partition
 from repro.sim import Simulation
 from repro.telemetry import Telemetry
-from repro.web import (DiurnalShape, FlashCrowd, ShapedLoad,
+from repro.web import (DiurnalShape, FlashCrowd, ShapedLoad, WebWorkload,
                        WebServiceDeployment, WeightedRotation)
+from repro.web.params import PER_SERVER_CAPACITY_RPS, workload_factor
 
 
 # -- shared fakes -------------------------------------------------------------
@@ -313,6 +316,48 @@ def test_hybrid_deployment_static_by_default():
     assert disabled.controller is None and disabled.ledger is None
 
 
+# -- one testbed: capacity and fault wiring shared with the static fleet ------
+
+MIXES = (WebWorkload(), WebWorkload(image_fraction=0.20,
+                                    cache_hit_ratio=0.77))
+
+
+@pytest.mark.parametrize("workload", MIXES)
+@pytest.mark.parametrize("platform", ["edison", "dell"])
+@pytest.mark.parametrize("scale", sorted(paper.T6_CLUSTERS))
+def test_target_rps_sum_equals_per_server_product(scale, platform,
+                                                  workload):
+    if platform == "dell" and paper.T6_CLUSTERS[scale][2] is None:
+        pytest.skip(f"the paper has no Dell layout at scale {scale}")
+    deployment = WebServiceDeployment(platform, scale, workload)
+    factor = workload_factor(workload.image_fraction,
+                             workload.cache_hit_ratio)
+    assert deployment.target_rps() == (
+        PER_SERVER_CAPACITY_RPS[platform] * deployment.web_server_count
+        * factor)
+
+
+@pytest.mark.parametrize("workload", MIXES)
+def test_hybrid_target_rps_equals_pool_capacity(workload):
+    deployment = HybridWebDeployment(edison_web=6, dell_web=1, cache=3,
+                                     workload=workload)
+    factor = workload_factor(workload.image_fraction,
+                             workload.cache_hit_ratio)
+    assert isinstance(deployment, WebServiceDeployment)
+    assert deployment.target_rps() == (
+        deployment.pool.total_capacity_rps() * factor)
+
+
+def test_hybrid_web_node_healed_from_partition_resets():
+    deployment = small_hybrid()
+    deployment.attach_faults(FaultPlan(faults=(
+        node_set_partition(["web-0"], at=1.0, duration=1.0),)))
+    deployment.run_shaped(DAY, 3.0, calls=4)
+    # The heal reboots the connection table, as on a static fleet.
+    assert deployment.web_nodes[0].epoch == 1
+    assert deployment.call_records()
+
+
 # -- actuation ordering -------------------------------------------------------
 
 def drive(deployment):
@@ -456,7 +501,7 @@ def test_static_shaped_day_runs_and_counts():
 def test_hybrid_day_off_path_is_bit_identical():
     def digest(autoscale):
         deployment = small_hybrid(autoscale=autoscale)
-        level = deployment.run_day(DAY, 8.0, calls=4)
+        level = deployment.run_shaped(DAY, 8.0, calls=4)
         return asdict(level), deployment.meter.energy_joules()
 
     assert digest(None) == digest(AutoscaleConfig.disabled())
@@ -468,7 +513,7 @@ def test_autoscaled_hybrid_day_saves_energy():
         if autoscale is not None:
             telemetry = Telemetry()
             telemetry.attach_web(deployment, until=20.0)
-        level = deployment.run_day(DAY, 20.0, calls=4)
+        level = deployment.run_shaped(DAY, 20.0, calls=4)
         return deployment, level
 
     static, static_level = run(None)
@@ -489,7 +534,7 @@ def test_autoscaled_day_is_deterministic():
         deployment = small_hybrid(autoscale=AutoscaleConfig.reactive())
         telemetry = Telemetry()
         telemetry.attach_web(deployment, until=12.0)
-        level = deployment.run_day(DAY, 12.0, calls=4)
+        level = deployment.run_shaped(DAY, 12.0, calls=4)
         return (asdict(level), deployment.meter.energy_joules(),
                 deployment.ledger.summary())
 

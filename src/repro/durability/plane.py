@@ -74,7 +74,7 @@ def attach_job(runner, config: Optional[DurabilityConfig],
             runner.sim, threshold=config.phi.threshold,
             window=config.phi.window, min_std_s=config.phi.min_std_s,
             expected_s=config.phi.heartbeat_s)
-        runner._phi = detector
+        runner.phi_detector = detector
         for server in runner.slave_servers:
             node = server.name
             rng = runner.rng.stream(f"durability.phi.{node}")

@@ -82,6 +82,12 @@ class JobCosts:
     java_factor: Mapping[str, float] = field(
         default_factory=lambda: {"edison": 1.0, "dell": 1.0})
 
+    def map_mi(self, input_bytes: float, output_bytes: float) -> float:
+        """Map + sort CPU of one split, before the Java path factor."""
+        return (self.map_fixed_mi
+                + self.map_mi_per_mb * input_bytes / 1e6
+                + self.sort_mi_per_mb * output_bytes / 1e6)
+
     def factor(self, platform: str) -> float:
         try:
             return self.java_factor[platform]

@@ -22,8 +22,8 @@ Figures 12-17.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import math
-import statistics
 from typing import Dict, List, Optional
 
 from ..cluster import Cluster, hadoop_cluster
@@ -31,7 +31,7 @@ from ..core import paperdata as paper
 from ..faults.models import FaultCause, PARTITION_KINDS
 from ..hardware import ServerSpec
 from ..resilience.config import ResilienceConfig
-from ..resilience.ledger import ResilienceLedger
+from ..resilience.ledger import ResilienceLedger, charge_vcore_waste
 from ..sim import Interrupt, RngStreams, Simulation, TimeSeries, backoff_delay
 from ..workloads import Dataset
 from . import costs as C
@@ -68,49 +68,6 @@ class TaskFailed(Exception):
 
 class JobFailed(Exception):
     """A task exhausted its attempts; the whole job is failed."""
-
-
-class SpeculationWin(Exception):
-    """Interrupt cause: a speculative twin finished first; adopt it."""
-
-    def __init__(self, node: str, out_bytes: float):
-        super().__init__(f"speculative twin won on {node}")
-        self.node = node
-        self.out_bytes = out_bytes
-
-
-class SpeculationKill(Exception):
-    """Interrupt cause: the original attempt finished; twin is redundant."""
-
-
-class _TaskCell:
-    """Shared scoreboard entry between a map task and its speculative twin."""
-
-    __slots__ = ("index", "board", "primary", "hdfs_file", "started_at",
-                 "node", "in_attempt", "spec_process", "speculated", "done",
-                 "won", "winner")
-
-    def __init__(self, index: int, board: "_SpecBoard"):
-        self.index = index
-        self.board = board
-        self.primary = None          # the original task's Process
-        self.hdfs_file = None        # input split, once drawn
-        self.started_at = None       # sim time the running attempt started
-        self.node = None             # node the running attempt occupies
-        self.in_attempt = False      # primary is inside _map_attempt
-        self.spec_process = None     # live speculative Process, if any
-        self.speculated = False      # a twin was ever launched
-        self.done = False            # task completed (either attempt)
-        self.won = False             # the twin finished first
-        self.winner = None           # (node, out_bytes) from the twin
-
-
-class _SpecBoard:
-    """All of a job's task cells plus the completed-attempt durations."""
-
-    def __init__(self):
-        self.cells: List[_TaskCell] = []
-        self.durations: List[float] = []
 
 
 @dataclass(frozen=True)
@@ -235,9 +192,9 @@ class JobRunner:
                                   master=self.cluster.servers["master"])
         self.meter = self.cluster.attach_meter(interval=1.0)
         self._fault_rng = self.rng.stream("faults")
-        #: (spec, state) of the run in flight — consulted by the
-        #: fault-injector listener for node-loss recovery.
-        self._active = None
+        #: Bookkeeping of the run in flight (its :class:`_JobState`):
+        #: task counters, map-output ledger and node-loss recovery.
+        self.state = None
         #: Root SpanContext of the running job's causal tree (traced
         #: runs only; set by :meth:`run`).
         self._job_ctx = None
@@ -256,7 +213,7 @@ class JobRunner:
         # processes — a run that never partitions is bit-identical).
         # The phi detector and ledger are armed by repro.durability's
         # attach_job; they stay None otherwise.
-        self._phi = None
+        self.phi_detector = None
         self.durability_ledger = None
         self._zombies: Dict[str, List] = {}
         self._partition_expired: set = set()
@@ -306,7 +263,7 @@ class JobRunner:
         forever; exceeding the deadline raises instead.
         """
         timeline = JobTimeline()
-        state = _JobState(self.sim, spec, self.config.slowstart)
+        state = self.state = _JobState(self.sim, spec, self.config.slowstart)
         trace = self.sim.trace
         job_start = self.sim.now
         # Root of the job's causal tree: every task attempt, HDFS read
@@ -316,7 +273,6 @@ class JobRunner:
             # Wire failure detection/recovery: node loss blacklists the
             # NodeManager, reclaims its containers and re-executes the
             # completed maps whose output died with it.
-            self._active = (spec, state)
             self.sim.faults.add_listener(self._on_fault_event)
         input_files = self._stage_input(spec)
         done = self.sim.process(self._job(spec, state, input_files),
@@ -444,29 +400,33 @@ class JobRunner:
         if event == "up":
             self.yarn.mark_node_up(node)
             return
-        if node not in self.yarn.nodes or self._active is None:
+        if node not in self.yarn.nodes:
             return   # the master or a non-slave; allocation just stalls
-        spec, state = self._active
         # Completed map output lived on the node's local disk: gone.
         # Account for it now (so shuffles stop trusting the node) and
         # re-execute once the ResourceManager expires the NodeManager.
-        lost_files, counts = state.lose_node(node)
+        lost_files, counts = self.state.lose_node(node)
         self.sim.process(
-            self._expire_and_recover(spec, state, node, lost_files, counts),
+            self._expire_and_recover(self.state, node, lost_files, counts),
             name=f"expire-{node}")
 
-    def _expire_and_recover(self, spec: JobSpec, state: "_JobState",
-                            node: str, lost_files: List, counts: bool):
+    def _expire_and_recover(self, state: "_JobState", node: str,
+                            lost_files: List, counts: bool):
         """RM-side process: expire a silent NodeManager, re-run its maps."""
         yield NM_EXPIRY_HEARTBEATS * self.config.heartbeat_s
-        faults = self.sim.faults
-        if faults is not None and not faults.is_up(node):
-            # Still silent after the liveness window: blacklist it.  (If
-            # it rebooted in time, its containers are gone regardless.)
+        # Blacklist it if still down; if it rebooted in time, its
+        # containers are gone regardless.
+        self._expire(state, node, lost_files, counts,
+                     blacklist=not self.sim.faults.is_up(node))
+
+    def _expire(self, state: "_JobState", node: str, lost_files: List,
+                counts: bool, blacklist: bool = True) -> None:
+        """Blacklist an expired NodeManager; re-execute its lost maps."""
+        if blacklist:
             self.yarn.mark_node_down(node)
         for hdfs_file in lost_files:
             self.sim.process(
-                self._map_task(spec, state, None, state.map_factor,
+                self._map_task(state.spec, state, None, state.map_factor,
                                recovery_from=node, fixed_file=hdfs_file,
                                counts=counts),
                 name=f"remap-{node}")
@@ -488,30 +448,28 @@ class JobRunner:
         if node not in self.yarn.nodes:
             return
         if event == "down":
-            if self._active is None:
-                return
-            spec, state = self._active
-            self.sim.process(
-                self._expire_partitioned(spec, state, node, kind),
-                name=f"expire-{node}")
+            self.sim.process(self._expire_partitioned(self.state, node, kind),
+                             name=f"expire-{node}")
             return
         # Heal: kill duplicate attempts, then re-register the survivor.
         for process, started in self._zombies.pop(node, ()):
             if process.is_alive:
                 process.interrupt(FaultCause("reconcile", node))
                 self.partition_counters["duplicate_kills"] += 1
-                self._charge_split_brain(node, self.sim.now - started)
+                if self.durability_ledger is not None:
+                    charge_vcore_waste(self.durability_ledger, "split_brain",
+                                       self.cluster.servers[node],
+                                       self.sim.now - started)
         if node in self._partition_expired:
             self._partition_expired.discard(node)
             self.yarn.mark_node_up(node)
             self.partition_counters["reregistered"] += 1
 
-    def _expire_partitioned(self, spec: JobSpec, state: "_JobState",
-                            node: str, kind: str):
+    def _expire_partitioned(self, state: "_JobState", node: str, kind: str):
         """RM-side conviction of a silent-but-alive node."""
         faults = self.sim.faults
-        if self._phi is not None:
-            suspected = yield from self._phi.wait_suspect(
+        if self.phi_detector is not None:
+            suspected = yield from self.phi_detector.wait_suspect(
                 node, healthy=lambda: (faults.is_reachable(node)
                                        and faults.is_up(node)))
             if not suspected:
@@ -520,20 +478,15 @@ class JobRunner:
             yield NM_EXPIRY_HEARTBEATS * self.config.heartbeat_s
         if faults.is_reachable(node):
             return   # healed inside the liveness window; never expired
-        self.yarn.mark_node_down(node)
         self._partition_expired.add(node)
         # This side stops trusting the node's completed map output (it
-        # is unreachable for shuffle) and re-executes on the majority.
+        # is unreachable for shuffle), kills the attempts it cannot
+        # reach and re-executes on the majority.
         lost_files, counts = state.lose_node(node)
         for process in faults.bound_processes(node):
             if process.is_alive:
                 process.interrupt(FaultCause(kind, node))
-        for hdfs_file in lost_files:
-            self.sim.process(
-                self._map_task(spec, state, None, state.map_factor,
-                               recovery_from=node, fixed_file=hdfs_file,
-                               counts=counts),
-                name=f"remap-{node}")
+        self._expire(state, node, lost_files, counts)
 
     def _spawn_zombie(self, node: str) -> None:
         """The partitioned side's copy of an interrupted attempt."""
@@ -562,13 +515,6 @@ class JobRunner:
         finally:
             faults.unbind(node, process)
 
-    def _charge_split_brain(self, node: str, seconds: float) -> None:
-        if self.durability_ledger is None:
-            return
-        server = self.cluster.servers[node]
-        watts = ResilienceLedger.marginal_vcore_watts(server)
-        self.durability_ledger.charge("split_brain", node, seconds, watts)
-
     def _job(self, spec: JobSpec, state: "_JobState",
              input_files: List):
         map_factor = C.effective_factor(
@@ -581,24 +527,18 @@ class JobRunner:
         # Application-master spin-up + job initialisation lead.
         yield C.ALLOC_LEAD_S[self.platform]
         pool = _InputPool(input_files, self.rng.stream("am"))
+        board = None
         if self.resilience is not None and self.resilience.speculation:
-            board = _SpecBoard()
-            maps = []
-            for i in range(spec.map_tasks):
-                cell = _TaskCell(i, board)
-                proc = self.sim.process(
-                    self._map_task(spec, state, pool, map_factor, cell=cell),
-                    name=f"map-{i}")
-                cell.primary = proc
-                board.cells.append(cell)
-                maps.append(proc)
-            self.sim.process(
-                self._speculation_monitor(spec, state, board, map_factor),
-                name="speculation-monitor")
-        else:
-            maps = [self.sim.process(
-                self._map_task(spec, state, pool, map_factor),
-                name=f"map-{i}") for i in range(spec.map_tasks)]
+            # The resilience plane's LATE speculation: one cell per map
+            # task, and a monitor that races twins against stragglers.
+            from ..resilience.speculation import SpecBoard  # deferred: cycle
+            board = SpecBoard(self, state)
+        maps = [self.sim.process(
+            self._map_task(spec, state, pool, map_factor,
+                           cell=board.cell(i) if board is not None else None),
+            name=f"map-{i}") for i in range(spec.map_tasks)]
+        if board is not None:
+            board.start()
         reduces = []
         if spec.reduce_tasks > 0:
             yield state.slowstart_event
@@ -625,118 +565,89 @@ class JobRunner:
         if reduces:
             yield self.sim.all_of(reduces)
 
-    # -- map side ----------------------------------------------------------
+    # -- the container retry loop, shared by map and reduce tasks ----------
 
-    def _map_task(self, spec: JobSpec, state: "_JobState",
-                  pool: Optional["_InputPool"], factor: float,
-                  recovery_from: Optional[str] = None,
-                  fixed_file=None, counts: bool = True,
-                  cell: Optional[_TaskCell] = None):
-        """One map task: allocate, attempt, retry; record its output.
+    def _task(self, kind: str, spec: JobSpec, state: "_JobState",
+              mem_mb: int, attempt, finish, split=None, draw=None,
+              on_partition_kill=None, cell=None):
+        """Process generator: one task's container retry loop.
 
-        With ``recovery_from`` set this is a re-execution of a map whose
-        completed output died with node ``recovery_from``; the input
-        split is ``fixed_file`` (no locality pool draw) and completion
-        settles the pending recovery instead of advancing the original
-        map counter (unless ``counts``: the phase was still open when
-        the node died, so the counter was decremented and must recover).
-
-        With a ``cell`` (speculation enabled), the task publishes its
-        attempt progress there and a speculative twin may race it: the
-        first finisher wins, the loser is killed and its joules charged
-        to the resilience ledger.
+        Runs ``attempt(node, split, ctx)`` in a fresh ``mem_mb`` container
+        until it succeeds (or a speculation ``cell``'s twin wins), then
+        calls ``finish(node, split, result)``.  ``draw(node)`` picks the
+        split; ``on_partition_kill(node)`` reacts to a partition kill.
+        Being the process generator itself, not a wrapper, the loop adds
+        no frame to any resume (allocation polling above all).
         """
-        hdfs_file = fixed_file
         faults = self.sim.faults
         failures = 0
         launches = 0
-        took_split = recovery_from is not None   # recoveries keep fixed_file
-        win_node = None
-        out_bytes = 0.0
+        elapsed = None
         while True:
             launches += 1
             if launches > MAX_TASK_LAUNCHES:
                 raise JobFailed(
-                    f"{spec.name}: a map task was relaunched "
+                    f"{spec.name}: a {kind} task was relaunched "
                     f"{MAX_TASK_LAUNCHES} times without completing "
                     f"(nodes keep failing under it)")
-            # Containers are requested anonymously and the application
-            # master assigns whichever pending split is local to the
-            # node that answered — how Hadoop's AM achieves its ~95 %
-            # data-locality, and why the paper sees it on both clusters.
-            grant = yield from self.yarn.allocate(spec.map_mem_mb)
+            grant = yield from self.yarn.allocate(mem_mb)
             if faults is not None and not faults.is_up(grant.node):
                 # Granted on a node that died before the NodeManager
                 # expiry window closed; give it back and re-request.
                 self.yarn.release(grant)
                 continue
-            if cell is not None and cell.won:
+            if cell is not None and cell.winner is not None:
                 # The speculative twin finished while this side waited
                 # for a container: adopt its output, skip the attempt.
                 self.yarn.release(grant)
-                win_node, out_bytes = cell.winner
+                node, result = cell.winner
                 break
-            # Draw the input split at the first grant that survives the
-            # liveness check — not the first launch: a grant churned back
-            # because its node was dead must not cost the task its split.
-            if not took_split:
-                took_split = True
-                hdfs_file, local = pool.take(grant.node)
-                if hdfs_file is not None:
-                    state.placed_maps += 1
-                    if local:
-                        state.local_maps += 1
-                if cell is not None:
-                    cell.hdfs_file = hdfs_file
+            node = grant.node
+            if draw is not None:
+                # At the first grant that survives the liveness check,
+                # not the first launch: a grant churned back because its
+                # node was dead must not cost the task its split.
+                split = draw(node)
+                draw = None
             attempt_start = self.sim.now
             process = self.sim.active_process
             trace = self.sim.trace
             attempt_ctx = trace.child_context(self._job_ctx) \
                 if trace is not None else None
+            span = partial(self._trace_attempt, kind, node, attempt_start,
+                           launches - 1, ctx=attempt_ctx)
             if faults is not None:
-                faults.bind(grant.node, process)
+                faults.bind(node, process)
             if cell is not None:
-                cell.started_at = attempt_start
-                cell.node = grant.node
-                cell.in_attempt = True
+                cell.attempt_started(node, split)
             try:
-                out_bytes = yield from self._map_attempt(
-                    spec, grant.node, hdfs_file, factor, ctx=attempt_ctx)
+                result = yield from attempt(node, split, attempt_ctx)
             except TaskFailed:
                 state.failed_attempts += 1
-                self._trace_attempt("map", grant.node, attempt_start,
-                                    launches - 1, ok=False, ctx=attempt_ctx)
+                span(ok=False)
                 failures += 1
                 if failures >= MAX_TASK_ATTEMPTS:
-                    raise JobFailed(
-                        f"{spec.name}: a map task died "
-                        f"{MAX_TASK_ATTEMPTS} times")
+                    raise JobFailed(f"{spec.name}: a {kind} task died "
+                                    f"{MAX_TASK_ATTEMPTS} times")
                 yield from self._retry_backoff(failures)
                 continue
             except Interrupt as exc:
-                if cell is not None and isinstance(exc.cause, SpeculationWin):
-                    # Lost the race: the twin's output stands, this
-                    # attempt's partial work is the price of insurance.
-                    self._charge_speculation(grant.node,
-                                             self.sim.now - attempt_start)
-                    self._trace_attempt("map", grant.node, attempt_start,
-                                        launches - 1, ok=False, killed=True,
-                                        lost_race=True, ctx=attempt_ctx)
-                    win_node, out_bytes = exc.cause.node, exc.cause.out_bytes
-                    break
-                # The node died under the attempt; the retry allocates
-                # on a surviving node and is not charged as a failure.
-                # A *partition* kill is different: the node is alive on
-                # the far side, so the orphaned attempt lives on as a
-                # zombie duplicate until heal-time reconciliation.
                 cause = exc.cause
-                if (isinstance(cause, FaultCause)
+                won = (cell.lost_race(cause, node,
+                                      self.sim.now - attempt_start)
+                       if cell is not None else None)
+                if won is not None:
+                    span(ok=False, killed=True, lost_race=True)
+                    node, result = won
+                    break
+                # The node died or was cut off under the attempt: Hadoop
+                # marks it KILLED, not FAILED, so the relaunch is free.
+                if (on_partition_kill is not None
+                        and isinstance(cause, FaultCause)
                         and cause.kind in PARTITION_KINDS):
-                    self._spawn_zombie(cause.node)
+                    on_partition_kill(cause.node)
                 state.failed_attempts += 1
-                self._trace_attempt("map", grant.node, attempt_start,
-                                    launches - 1, ok=False, killed=True,
-                                    ctx=attempt_ctx)
+                span(ok=False, killed=True)
                 continue
             except BlockUnavailable as exc:
                 # Every replica of an input block is gone: no retry can
@@ -744,35 +655,72 @@ class JobRunner:
                 raise JobFailed(f"{spec.name}: {exc}") from exc
             finally:
                 if cell is not None:
-                    cell.in_attempt = False
-                    cell.started_at = None
+                    cell.attempt_ended()
                 if faults is not None:
                     faults.unbind(grant.node, process)
                 self.yarn.release(grant)
-            self._trace_attempt("map", grant.node, attempt_start,
-                                launches - 1, ok=True, out_bytes=out_bytes,
-                                ctx=attempt_ctx)
-            if cell is not None:
-                cell.board.durations.append(self.sim.now - attempt_start)
-            win_node = grant.node
+            span(ok=True, out_bytes=result)
+            elapsed = self.sim.now - attempt_start
             break
         if cell is not None:
-            cell.done = True
-            if (not cell.won and cell.spec_process is not None
-                    and cell.spec_process.is_alive):
-                # First-finisher-wins: the twin is now redundant.
-                cell.spec_process.interrupt(SpeculationKill())
-        state.record_map_output(win_node, out_bytes)
-        state.completed_map(win_node, hdfs_file)
-        if recovery_from is None:
-            state.map_finished(self.sim)
-        else:
-            state.recovery_completed(self.sim, recovery_from,
-                                     win_node, out_bytes, counts)
-        return
+            cell.task_done(elapsed)
+        finish(node, split, result)
 
-    def _map_attempt(self, spec: JobSpec, node: str, hdfs_file,
-                     factor: float, ctx=None):
+    def _retry_backoff(self, failures: int):
+        """Process generator: seeded backoff before a failed attempt retries.
+
+        A no-op without resilience — the historical behaviour is an
+        immediate re-request on the next heartbeat.
+        """
+        if self._retry_rng is None:
+            return
+        policy = self.resilience.retry_policy
+        self.resilience_ledger.count("retries")
+        yield backoff_delay(self._retry_rng, failures - 1,
+                            policy.backoff_base_s, policy.backoff_cap_s,
+                            policy.jitter)
+
+    # -- map side ----------------------------------------------------------
+
+    def _map_task(self, spec: JobSpec, state: "_JobState",
+                  pool: Optional["_InputPool"], factor: float,
+                  recovery_from: Optional[str] = None,
+                  fixed_file=None, counts: bool = True, cell=None):
+        """One map task: :meth:`_task` around :meth:`_map_attempt`.
+
+        Containers are requested anonymously and the AM assigns whichever
+        pending split is local to the node that answered: Hadoop's ~95 %
+        data-locality.  With ``recovery_from`` set this re-executes a map
+        whose output died with that node, on ``fixed_file``; completion
+        settles the recovery and, if ``counts`` (the map phase was still
+        open), re-advances the map counter.  ``cell`` is the task's seam
+        with LATE speculation.
+        """
+        def draw(node):
+            hdfs_file, local = pool.take(node)
+            if hdfs_file is not None:
+                state.placed_maps += 1
+                if local:
+                    state.local_maps += 1
+            return hdfs_file
+
+        def finish(node, hdfs_file, out_bytes):
+            state.record_map_output(node, out_bytes)
+            state.completed_map(node, hdfs_file)
+            if recovery_from is None:
+                state.map_finished(self.sim)
+            else:
+                state.recovery_completed(self.sim, recovery_from,
+                                         node, out_bytes, counts)
+
+        return self._task("map", spec, state, spec.map_mem_mb,
+                          partial(self._map_attempt, spec, factor), finish,
+                          split=fixed_file,
+                          draw=draw if recovery_from is None else None,
+                          on_partition_kill=self._spawn_zombie, cell=cell)
+
+    def _map_attempt(self, spec: JobSpec, factor: float, node: str,
+                     hdfs_file, ctx=None):
         """One attempt of one map task on ``node``; may raise TaskFailed.
 
         ``ctx`` is the attempt's :class:`~repro.trace.SpanContext`; the
@@ -797,9 +745,7 @@ class JobRunner:
             raise TaskFailed(f"injected failure on {node}")
         out_bytes = (input_bytes * spec.dataset.map_output_ratio
                      if spec.dataset else 0.0)
-        cpu_mi = (spec.costs.map_fixed_mi
-                  + spec.costs.map_mi_per_mb * input_bytes / 1e6
-                  + spec.costs.sort_mi_per_mb * out_bytes / 1e6) * factor
+        cpu_mi = spec.costs.map_mi(input_bytes, out_bytes) * factor
         yield from self._cpu(node, cpu_mi)
         if spec.combiner and spec.dataset:
             out_bytes *= spec.dataset.combine_survival
@@ -810,230 +756,21 @@ class JobRunner:
         yield from self.yarn.master_commit()
         return out_bytes
 
-    # -- speculative execution (LATE) --------------------------------------
-
-    def _retry_backoff(self, failures: int):
-        """Process generator: seeded backoff before a failed attempt retries.
-
-        A no-op without resilience — the historical behaviour is an
-        immediate re-request on the next heartbeat.
-        """
-        if self._retry_rng is None:
-            return
-        policy = self.resilience.retry_policy
-        self.resilience_ledger.count("retries")
-        yield backoff_delay(self._retry_rng, failures - 1,
-                            policy.backoff_base_s, policy.backoff_cap_s,
-                            policy.jitter)
-
-    def _charge_speculation(self, node: str, seconds: float) -> None:
-        """Bill a killed attempt's partial work to the resilience ledger."""
-        ledger = self.resilience_ledger
-        ledger.charge("speculation", node, seconds,
-                      ledger.marginal_vcore_watts(self.cluster.servers[node]))
-        ledger.count("speculative_kills")
-
-    def _estimate_map_s(self, spec: JobSpec, factor: float) -> float:
-        """Cost-model anchor for the straggler baseline.
-
-        Used until enough attempts have completed for the running
-        median to be trusted; deliberately coarse (CPU at the loaded
-        vcore rate plus the launch/commit floors — I/O omitted), since
-        it only has to be the right order of magnitude.
-        """
-        split = spec.input_bytes / spec.map_tasks if spec.dataset else 0.0
-        out = (split * spec.dataset.map_output_ratio if spec.dataset else 0.0)
-        mi = (spec.costs.map_fixed_mi
-              + spec.costs.map_mi_per_mb * split / 1e6
-              + spec.costs.sort_mi_per_mb * out / 1e6
-              + C.JVM_START_MI) * factor
-        # Median per-slave rate, not slave 0's: on a heterogeneous
-        # Edison+Dell pool anchoring to whichever platform happens to
-        # sort first would misjudge every attempt on the other one
-        # (a Dell-anchored estimate flags all Edison attempts as
-        # stragglers).  The median rate stands in for the median
-        # completed-attempt duration this estimate replaces; on a
-        # homogeneous pool it is bit-identical to the old anchor.
-        rate = statistics.median(
-            server.cpu.spec.vcore_dmips for server in self.slave_servers)
-        return C.TASK_LAUNCH_S + C.TASK_COMMIT_S + mi / rate
-
-    def _speculation_monitor(self, spec: JobSpec, state: "_JobState",
-                             board: _SpecBoard, factor: float):
-        """Job-wide straggler scan, LATE-style.
-
-        Every ``check_interval_s`` the monitor compares each running
-        attempt's elapsed time against ``late_factor`` times the median
-        completed-attempt duration (cost-model estimate until
-        ``min_completed`` attempts exist) and launches capped
-        speculative twins for the laggards.
-        """
-        cfg = self.resilience.speculation_cfg
-        estimate = self._estimate_map_s(spec, factor)
-        while not state.all_maps_done.triggered:
-            yield cfg.check_interval_s
-            if state.all_maps_done.triggered:
-                return
-            if len(board.durations) >= cfg.min_completed:
-                baseline = statistics.median(board.durations)
-            else:
-                baseline = estimate
-            threshold = cfg.late_factor * baseline
-            outstanding = sum(
-                1 for c in board.cells
-                if c.spec_process is not None and c.spec_process.is_alive)
-            now = self.sim.now
-            # LATE launches against the *worst* stragglers first: with a
-            # capped twin pool, spending a slot on a 2x laggard while a
-            # 10x one waits forfeits most of the tail saving.  Elapsed
-            # time stands in for estimated time-to-end (same input split
-            # size, so longer-running means further from done); ties keep
-            # task-index order, which keeps the scan deterministic.
-            laggards = sorted(
-                (c for c in board.cells
-                 if not (c.done or c.speculated or c.started_at is None)
-                 and now - c.started_at > threshold),
-                key=lambda c: now - c.started_at, reverse=True)
-            for cell in laggards:
-                if outstanding >= cfg.max_outstanding:
-                    break
-                cell.speculated = True
-                outstanding += 1
-                self.resilience_ledger.count("speculative_launches")
-                cell.spec_process = self.sim.process(
-                    self._speculative_map(spec, cell, factor),
-                    name=f"spec-map-{cell.index}")
-                if self.sim.trace is not None:
-                    self.sim.trace.instant(
-                        "speculation.launch", category="resilience",
-                        task=cell.index, elapsed_s=now - cell.started_at,
-                        baseline_s=baseline)
-
-    def _speculative_map(self, spec: JobSpec, cell: _TaskCell,
-                         factor: float):
-        """A speculative twin of one straggling map attempt.
-
-        Races the original: whoever finishes first wins, the loser is
-        killed and its joules land on the resilience ledger.  The twin
-        is deliberately second-class — its container request gives up
-        after a bounded number of heartbeats so speculation never
-        starves first attempts on a full cluster.
-        """
-        ledger = self.resilience_ledger
-        cfg = self.resilience.speculation_cfg
-        faults = self.sim.faults
-        avoid = (cell.node,) if cell.node is not None else ()
-        try:
-            grant = yield from self.yarn.allocate(
-                spec.map_mem_mb,
-                max_heartbeats=cfg.allocation_heartbeats,
-                avoid=avoid)
-        except Interrupt:
-            return                       # killed while still queueing: free
-        if grant is None:
-            ledger.count("speculative_abandoned")
-            # The cluster was full; let the monitor try again later,
-            # when the map tail has freed slots.
-            cell.speculated = False
-            return
-        if cell.done or (faults is not None and not faults.is_up(grant.node)):
-            self.yarn.release(grant)
-            if cell.done:
-                ledger.count("speculative_abandoned")
-            return
-        start = self.sim.now
-        process = self.sim.active_process
-        trace = self.sim.trace
-        attempt_ctx = trace.child_context(self._job_ctx) \
-            if trace is not None else None
-        if faults is not None:
-            faults.bind(grant.node, process)
-        try:
-            out_bytes = yield from self._map_attempt(
-                spec, grant.node, cell.hdfs_file, factor, ctx=attempt_ctx)
-        except (TaskFailed, Interrupt, BlockUnavailable):
-            # Killed by the winner, lost its node, or died on its own:
-            # either way the partial work is pure overhead.
-            self._charge_speculation(grant.node, self.sim.now - start)
-            self._trace_attempt("map", grant.node, start, 0, ok=False,
-                                speculative=True, ctx=attempt_ctx)
-            return
-        finally:
-            if faults is not None:
-                faults.unbind(grant.node, process)
-            self.yarn.release(grant)
-        if cell.done:
-            # Photo finish, original side already committed: duplicate.
-            self._charge_speculation(grant.node, self.sim.now - start)
-            self._trace_attempt("map", grant.node, start, 0, ok=False,
-                                speculative=True, ctx=attempt_ctx)
-            return
-        cell.board.durations.append(self.sim.now - start)
-        cell.won = True
-        cell.winner = (grant.node, out_bytes)
-        ledger.count("speculative_wins")
-        self._trace_attempt("map", grant.node, start, 0, ok=True,
-                            speculative=True, out_bytes=out_bytes,
-                            ctx=attempt_ctx)
-        if cell.in_attempt:
-            cell.primary.interrupt(SpeculationWin(grant.node, out_bytes))
-
     # -- reduce side ----------------------------------------------------------
 
     def _reduce_task(self, spec: JobSpec, state: "_JobState", factor: float):
-        faults = self.sim.faults
-        failures = 0
-        launches = 0
-        while True:
-            launches += 1
-            if launches > MAX_TASK_LAUNCHES:
-                raise JobFailed(
-                    f"{spec.name}: a reduce task was relaunched "
-                    f"{MAX_TASK_LAUNCHES} times without completing "
-                    f"(nodes keep failing under it)")
-            grant = yield from self.yarn.allocate(spec.reduce_mem_mb)
-            if faults is not None and not faults.is_up(grant.node):
-                self.yarn.release(grant)
-                continue
-            attempt_start = self.sim.now
-            process = self.sim.active_process
-            trace = self.sim.trace
-            attempt_ctx = trace.child_context(self._job_ctx) \
-                if trace is not None else None
-            if faults is not None:
-                faults.bind(grant.node, process)
-            try:
-                yield from self._reduce_attempt(spec, state, grant.node,
-                                                factor, ctx=attempt_ctx)
-            except TaskFailed:
-                state.failed_attempts += 1
-                self._trace_attempt("reduce", grant.node, attempt_start,
-                                    launches - 1, ok=False, ctx=attempt_ctx)
-                failures += 1
-                if failures >= MAX_TASK_ATTEMPTS:
-                    raise JobFailed(
-                        f"{spec.name}: a reduce task died "
-                        f"{MAX_TASK_ATTEMPTS} times")
-                yield from self._retry_backoff(failures)
-                continue
-            except Interrupt:
-                # Node loss mid-reduce: the whole attempt (shuffle
-                # included) re-runs on a surviving node, uncharged.
-                state.failed_attempts += 1
-                self._trace_attempt("reduce", grant.node, attempt_start,
-                                    launches - 1, ok=False, killed=True,
-                                    ctx=attempt_ctx)
-                continue
-            except BlockUnavailable as exc:
-                raise JobFailed(f"{spec.name}: {exc}") from exc
-            finally:
-                if faults is not None:
-                    faults.unbind(grant.node, process)
-                self.yarn.release(grant)
-            self._trace_attempt("reduce", grant.node, attempt_start,
-                                launches - 1, ok=True, ctx=attempt_ctx)
+        """One reduce task: :meth:`_task` around :meth:`_reduce_attempt`.
+
+        A killed attempt re-runs whole, shuffle included; unlike a map,
+        a partition kill spawns no zombie."""
+        def attempt(node, _split, ctx):
+            return self._reduce_attempt(spec, state, node, factor, ctx=ctx)
+
+        def finish(*_):
             state.reduces_done += 1
-            return
+
+        return self._task("reduce", spec, state, spec.reduce_mem_mb,
+                          attempt, finish)
 
     def _reduce_attempt(self, spec: JobSpec, state: "_JobState",
                         node: str, factor: float, ctx=None):
@@ -1077,9 +814,13 @@ class JobRunner:
         yield from self.yarn.master_commit()
 
     def _trace_attempt(self, kind: str, node: str, start: float,
-                       attempt: int, ok: bool, ctx=None, **attrs) -> None:
-        """Emit one task-attempt lifecycle span (no-op when untraced)."""
+                       attempt: int, ok: bool, ctx=None, out_bytes=None,
+                       **attrs) -> None:
+        """Emit one task-attempt lifecycle span (no-op when untraced);
+        a map attempt's ``out_bytes`` is recorded when given."""
         if self.sim.trace is not None:
+            if out_bytes is not None:
+                attrs["out_bytes"] = out_bytes
             self.sim.trace.complete(f"{kind}-attempt", start,
                                     category="task", node=node, ctx=ctx,
                                     attempt=attempt, ok=ok, **attrs)

@@ -96,3 +96,11 @@ class ResilienceLedger:
                             for k, v in sorted(self.node_joules.items())},
             "total_waste_joules": round(self.total_waste_joules, 6),
         }
+
+
+def charge_vcore_waste(ledger, category: str, server,
+                       seconds: float) -> None:
+    """Bill ``seconds`` of discarded work on ``server`` to ``ledger`` (a
+    resilience or a durability ledger) at the marginal vcore rate."""
+    ledger.charge(category, server.name, seconds,
+                  ResilienceLedger.marginal_vcore_watts(server))

@@ -353,7 +353,7 @@ def test_attach_job_off_is_a_no_op():
     assert attach_job(runner, None) is None
     assert attach_job(runner, DurabilityConfig.disabled()) is None
     assert runner.durability_ledger is None
-    assert runner._phi is None
+    assert runner.phi_detector is None
     assert runner.hdfs.monitor is None
     assert not runner.hdfs.rack_aware
 
@@ -365,9 +365,9 @@ def test_attach_job_arms_the_whole_plane():
     FaultInjector(runner.cluster)
     ledger = attach_job(runner, DurabilityConfig.full())
     assert ledger is runner.durability_ledger
-    assert runner._phi is not None
+    assert runner.phi_detector is not None
     assert runner.hdfs.monitor is not None
-    assert runner.hdfs.monitor.detector is runner._phi
+    assert runner.hdfs.monitor.detector is runner.phi_detector
     assert runner.hdfs.rack_aware
     report = runner.run(spec)
     assert report.seconds > 0

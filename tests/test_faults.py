@@ -287,10 +287,13 @@ def test_wordcount_survives_losing_a_slave():
     FaultInjector(runner.cluster, single_node_kill("edison-slave-0", 75.0))
     report = runner.run(small_spec())
     assert report.seconds > baseline.seconds     # recovery costs time
-    state = runner._active[1]
+    state = runner.state
     assert state.lost_map_count > 0              # completed maps were lost
     assert state.pending_recoveries == 0
     assert state.reduces_done == small_spec().reduce_tasks
+    # Exact pins for the seeded kill-and-recover run.
+    assert (report.seconds, report.joules, state.lost_map_count) == (
+        133.10192692806214, 1578.7609876752424, 2)
     # Failure detection and recovery are visible in the trace.
     fault_events = [e for e in tracer.log if e.category == "fault"]
     assert any(e.name == "fault.crash" for e in fault_events)

@@ -282,15 +282,16 @@ def test_jobcosts_unknown_platform():
 # -- Straggler cost anchor -----------------------------------------------------
 
 def test_straggler_anchor_uses_pool_median_not_slave_zero():
-    """Regression: _estimate_map_s anchored to slave 0's DMIPS, so on a
+    """Regression: estimate_map_s anchored to slave 0's DMIPS, so on a
     heterogeneous pool whichever platform sorted first set the straggler
     baseline for everyone — a Dell-anchored estimate flags every Edison
     attempt as LATE.  The anchor is now the pool-median vcore rate."""
     from repro.mapreduce import JOB_FACTORIES, JobRunner
+    from repro.resilience.speculation import estimate_map_s
 
     spec, config = JOB_FACTORIES["wordcount2"]("edison", 4)
     runner = JobRunner("edison", 4, config=config, seed=3)
-    homogeneous = runner._estimate_map_s(spec, 1.0)
+    homogeneous = estimate_map_s(spec, 1.0, runner.slave_servers)
 
     donor = JobRunner("dell", 2, seed=3)
     dell = donor.slave_servers[0]
@@ -299,11 +300,11 @@ def test_straggler_anchor_uses_pool_median_not_slave_zero():
     # One Dell among three Edisons: the median is still the Edison
     # rate, so the estimate matches the homogeneous pool exactly...
     runner.slave_servers = [dell] + edisons[:3]
-    assert runner._estimate_map_s(spec, 1.0) == homogeneous
+    assert estimate_map_s(spec, 1.0, runner.slave_servers) == homogeneous
     # ...and does not depend on which platform happens to sort first.
     runner.slave_servers = edisons[:3] + [dell]
-    assert runner._estimate_map_s(spec, 1.0) == homogeneous
+    assert estimate_map_s(spec, 1.0, runner.slave_servers) == homogeneous
 
     # The old slave-0 anchor would have priced every map at Dell speed.
     runner.slave_servers = [dell] * 4
-    assert runner._estimate_map_s(spec, 1.0) < homogeneous
+    assert estimate_map_s(spec, 1.0, runner.slave_servers) < homogeneous

@@ -390,6 +390,11 @@ def test_split_brain_spawns_and_reconciles_zombies():
     assert counters["reregistered"] == 4       # the whole severed rack
     assert not runner._zombies                 # reconciliation drained
     assert report.seconds > 0
+    # Exact pins for the seeded split-brain run.
+    assert counters == {"zombies_started": 48, "duplicate_kills": 48,
+                        "reregistered": 4}
+    assert (report.seconds, report.joules) == (
+        48.952902465546366, 27634.980047170055)
 
 
 def test_partition_accrues_no_downtime_vs_control():

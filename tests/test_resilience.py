@@ -416,3 +416,14 @@ def test_late_speculation_contains_a_persistent_straggler():
     assert ledger.counters["speculative_launches"] >= 1
     assert ledger.counters["speculative_wins"] >= 1
     assert ledger.waste_joules["speculation"] > 0
+    # Exact pins: the seeded run is deterministic, so any change to the
+    # speculation plane or the task retry loop that moves a float shows.
+    assert (report_m.seconds, report_m.joules) == (
+        2602.4723175678, 15970.50864856359)
+    assert ledger.counters == {
+        "speculative_launches": 2, "speculative_wins": 2,
+        "speculative_kills": 2, "speculative_abandoned": 0, "hedges": 0,
+        "hedge_wins": 0, "sheds": 0, "retries": 0, "breaker_opens": 0}
+    assert ledger.waste_joules == {
+        "speculation": 539.812727873048, "hedge": 0.0, "shed": 0.0,
+        "retry": 0.0}

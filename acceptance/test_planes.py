@@ -10,7 +10,6 @@ conservation and the Table 7 decomposition from tree structure alone.
 Run:  PYTHONPATH=src python -m pytest acceptance
 """
 
-import json
 import os
 from dataclasses import asdict
 from functools import lru_cache
@@ -40,16 +39,16 @@ def run_report(report, artifacts, name):
 def resilience_digests(disabled):
     """One web level and one job, faults off."""
     from repro.mapreduce import JOB_FACTORIES, JobRunner
-    from repro.resilience import ResilienceConfig
-    from repro.resilience.report import GRAY_SEED
+    from repro.resilience import GrayPlan, ResilienceConfig
     from repro.web import WebServiceDeployment
 
+    seed = GrayPlan.load(EXPERIMENTS / "gray_failures.json").seed
     resilience = ResilienceConfig.disabled() if disabled else None
-    deployment = WebServiceDeployment("edison", "1/4", seed=GRAY_SEED,
+    deployment = WebServiceDeployment("edison", "1/4", seed=seed,
                                       resilience=resilience)
     level = deployment.run_level(24, duration=3.0, warmup=1.0)
     spec, config = JOB_FACTORIES["wordcount2"]("edison", 8)
-    runner = JobRunner("edison", 8, config=config, seed=GRAY_SEED,
+    runner = JobRunner("edison", 8, config=config, seed=seed,
                        resilience=resilience)
     return {"web": asdict(level), "job": job_digest(runner.run(spec))}
 
@@ -191,12 +190,11 @@ def test_off_path_disabled_is_bit_identical(plane):
 
 @pytest.fixture(scope="module")
 def gray(artifacts):
-    from repro.faults import FaultPlan
-    from repro.resilience import (job_resilience_experiment,
+    from repro.resilience import (GrayPlan, job_resilience_experiment,
                                   web_resilience_experiment)
-    plans = json.loads((EXPERIMENTS / "gray_failures.json").read_text())
-    web = web_resilience_experiment(plan=FaultPlan.from_dict(plans["web"]))
-    job = job_resilience_experiment(plan=FaultPlan.from_dict(plans["job"]))
+    plan = GrayPlan.load(EXPERIMENTS / "gray_failures.json")
+    web = web_resilience_experiment(plan)
+    job = job_resilience_experiment(plan)
     return (run_report(web, artifacts, "resilience_web_report.json"),
             run_report(job, artifacts, "resilience_job_report.json"))
 
@@ -229,7 +227,7 @@ def test_autoscale_hybrid_dominates_a_static_arm(artifacts):
     report = run_report(autoscale_experiment(plan), artifacts,
                         "autoscale_report.json")
     hybrid = report.hybrid
-    assert bool(report.dominated_arms())
+    assert bool(report.dominated_arms)
     assert bool(hybrid.availability_met), \
         f"{(hybrid.availability or 0) * 100:.4f}%"
     assert hybrid.boot_j > 0, \
@@ -263,14 +261,14 @@ def test_carbon_no_wait_arm_equals_the_plain_runs(carbon_day, platform):
 
 @pytest.mark.parametrize("platform", [p for p, _ in CARBON_FLEETS])
 def test_carbon_waiting_beats_no_wait(carbon_day, platform):
-    assert bool(carbon_day.dominating_policies(platform))
+    assert bool(carbon_day.dominating_policies[platform])
     arm = carbon_day.arm("suspend-resume", platform)
     assert arm.suspensions > 0, \
         f"{arm.suspensions} suspensions, {arm.suspended_s:.0f} s"
 
 
 def test_carbon_r620_day_emits_more_co2_than_edison(carbon_day):
-    delta = carbon_day.platform_delta()
+    delta = carbon_day.platform_delta
     assert delta is not None and delta["no_wait_ratio"] > 1.0
 
 
@@ -287,7 +285,7 @@ def test_dvfs_ondemand_beats_performance(dvfs_plan, artifacts):
     from repro.dvfs import dvfs_experiment
     report = run_report(dvfs_experiment(dvfs_plan), artifacts,
                         "dvfs_report.json")
-    assert bool(report.ondemand_wins())
+    assert bool(report.ondemand_wins)
     assert all(a.transitions > 0 for a in report.arms
                if a.governor == "ondemand")
     assert all(a.transitions == 0 for a in report.arms
@@ -354,7 +352,7 @@ def durability_day(artifacts):
 
 def test_durability_rack_aware_r2_is_the_edison_knee(durability_day):
     report = durability_day
-    assert report.knee("edison") == 2
+    assert report.knee["edison"] == 2
     r2 = report.arm("edison", True, 2)
     assert r2.blocks_lost == 0 and not r2.job_failed
     r1 = report.arm("edison", True, 1)
@@ -374,7 +372,7 @@ def test_durability_ledger_closes(durability_day):
 
 def test_durability_partitions_cost_reachability_not_uptime(durability_day):
     report = durability_day
-    assert report.partition_downtime_clean()
+    assert report.partition_downtime_clean
     fault_arms = [a for a in report.arms
                   if a.platform in {c.platform for c in report.controls}]
     assert all(a.unreachable_s > 0 for a in fault_arms) \

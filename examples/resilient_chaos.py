@@ -28,21 +28,27 @@ metric is quoted *net of the resilience tax*.
 Run:  python examples/resilient_chaos.py           (~10 seconds)
 """
 
-from repro.resilience import (job_resilience_experiment,
+import os
+
+from repro.resilience import (GrayPlan, job_resilience_experiment,
                               web_resilience_experiment)
+
+PLAN = os.path.join(os.path.dirname(__file__), "..", "experiments",
+                    "gray_failures.json")
 
 
 def main() -> None:
+    plan = GrayPlan.load(PLAN)
     print("Web tier under gray failures (throttles + crash + packet "
           "loss)...")
-    web = web_resilience_experiment()
+    web = web_resilience_experiment(plan)
     print()
     for line in web.lines():
         print(line)
 
     print()
     print("Single-wave wordcount with one slave stuck at 8% clock...")
-    job = job_resilience_experiment()
+    job = job_resilience_experiment(plan)
     print()
     for line in job.lines():
         print(line)

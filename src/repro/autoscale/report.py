@@ -27,8 +27,7 @@ from ..web.loadshape import ShapedLoad
 from .config import AutoscaleConfig
 from .deployment import HybridWebDeployment
 
-#: Seed of the committed day (acceptance suite + docs), same spirit as
-#: repro.resilience's GRAY_SEED.
+#: Seed of the committed day (acceptance suite + docs).
 DAY_SEED = 77
 
 
@@ -102,6 +101,7 @@ class AutoscaleReport(Report):
     """The three arms side by side, with the dominance verdict."""
 
     arm_key = ("label",)
+    json_tail = ("dominated_arms",)
 
     plan_name: str
     detail: str
@@ -111,6 +111,7 @@ class AutoscaleReport(Report):
     def hybrid(self) -> AutoscaleArm:
         return self.arm("autoscaled-hybrid")
 
+    @property
     def dominated_arms(self) -> List[str]:
         """Static arms the hybrid strictly beats on joules at
         equal-or-better availability."""
@@ -127,9 +128,6 @@ class AutoscaleReport(Report):
             if hybrid.availability >= arm.availability:
                 out.append(arm.label)
         return out
-
-    def to_dict(self) -> Dict:
-        return super().to_dict() | {"dominated_arms": self.dominated_arms()}
 
     def lines(self) -> List[str]:
         """The three-arm table, CLI/docs-ready."""
@@ -170,7 +168,7 @@ class AutoscaleReport(Report):
                    f"{hybrid.counters.get('drains', 0)} drains, "
                    f"{hybrid.counters.get('drain_timeouts', 0)} drain "
                    f"timeouts)")
-        dominated = self.dominated_arms()
+        dominated = self.dominated_arms
         if dominated:
             out.append("  verdict: hybrid dominates "
                        + ", ".join(dominated)

@@ -25,7 +25,7 @@ from .scheduler import CarbonScheduler
 from .trace import SignalTrace
 
 #: Seed of the committed day (acceptance suite + docs), same spirit as
-#: repro.autoscale's DAY_SEED and repro.resilience's GRAY_SEED.
+#: repro.autoscale's DAY_SEED.
 DAY_SEED = 20260809
 
 #: The platforms every committed day compares.
@@ -112,19 +112,25 @@ class CarbonReport(Report):
     """All arms side by side, with the dominance and platform verdicts."""
 
     arm_key = ("policy", "platform")
+    json_tail = ("dominating_policies", "platform_delta")
 
     plan_name: str
     detail: str
     arms: Tuple[CarbonArm, ...]
 
-    def dominating_policies(self, platform: str) -> List[str]:
-        """Policies that beat no-wait on grams at zero deadline misses."""
-        base = self.arm("no-wait", platform)
-        return [arm.policy for arm in self.arms
-                if arm.platform == platform
-                and arm.policy != "no-wait"
-                and arm.deadline_misses == 0
-                and arm.grams_co2 < base.grams_co2]
+    @property
+    def dominating_policies(self) -> Dict[str, List[str]]:
+        """Per platform, the policies that beat no-wait on grams at
+        zero deadline misses."""
+        out = {}
+        for platform in self.platforms():
+            base = self.arm("no-wait", platform)
+            out[platform] = [arm.policy for arm in self.arms
+                             if arm.platform == platform
+                             and arm.policy != "no-wait"
+                             and arm.deadline_misses == 0
+                             and arm.grams_co2 < base.grams_co2]
+        return out
 
     def best_arm(self, platform: str) -> CarbonArm:
         """Lowest-gram arm with zero misses (no-wait included)."""
@@ -140,6 +146,7 @@ class CarbonReport(Report):
         base = self.arm("no-wait", platform)
         return base.grams_co2 - self.best_arm(platform).grams_co2
 
+    @property
     def platform_delta(self) -> Optional[Dict[str, float]]:
         """Edison-vs-R620: the grams ratio at release and at best.
 
@@ -166,13 +173,6 @@ class CarbonReport(Report):
     def platforms(self) -> List[str]:
         return list(dict.fromkeys(arm.platform for arm in self.arms))
 
-    def to_dict(self) -> Dict:
-        return super().to_dict() | {
-            "dominating_policies": {
-                platform: self.dominating_policies(platform)
-                for platform in self.platforms()},
-            "platform_delta": self.platform_delta()}
-
     def lines(self) -> List[str]:
         """The four-policy table per platform, CLI/docs-ready."""
         out = [f"Carbon day — {self.plan_name} ({self.detail})"]
@@ -192,7 +192,7 @@ class CarbonReport(Report):
             row("wait", lambda a: f"{a.wait_hours * 60:.1f} min")
             row("deadline misses", lambda a: f"{a.deadline_misses}")
             row("suspensions", lambda a: f"{a.suspensions}")
-            dominating = self.dominating_policies(platform)
+            dominating = self.dominating_policies[platform]
             best = self.best_arm(platform)
             saved = self.grams_saved(platform)
             base = self.arm("no-wait", platform)
@@ -204,7 +204,7 @@ class CarbonReport(Report):
                            f"(-{saved:.3f} g, -{pct:.1f}%, 0 misses)")
             else:
                 out.append("    verdict: no policy beat no-wait")
-        delta = self.platform_delta()
+        delta = self.platform_delta
         if delta is not None:
             out.append(
                 f"  Edison vs R620: the Dell day emits "

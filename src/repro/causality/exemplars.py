@@ -14,26 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..core.records import Record
 from ..trace.metrics import Histogram
 
 
 @dataclass(frozen=True)
-class Exemplar:
+class Exemplar(Record):
     """One bucket's representative observation."""
 
     value: float
     trace_id: int
     bucket: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"value": self.value, "trace_id": self.trace_id,
-                "bucket": self.bucket}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Exemplar":
-        return cls(value=float(data["value"]),
-                   trace_id=int(data["trace_id"]),
-                   bucket=int(data["bucket"]))
 
 
 class ExemplarStore:

@@ -34,16 +34,21 @@ from .web import WebServiceDeployment, WebWorkload, delay_distribution, \
     measure_delay_decomposition
 
 
+def _load_plan(flag: str, record, path: str):
+    """``record.load(path)``; a bad file is a one-line CLI error."""
+    try:
+        return record.load(path)
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {flag}: {exc}")
+
+
 def _load_fault_plan(args):
     """The FaultPlan named by ``--fault-plan``, or None."""
     path = getattr(args, "fault_plan", None)
     if not path:
         return None
     from .faults import FaultPlan
-    try:
-        return FaultPlan.load(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro: error: --fault-plan: {exc}")
+    return _load_plan("--fault-plan", FaultPlan, path)
 
 
 def _print_fault_report(injector) -> None:
@@ -324,23 +329,24 @@ def _cmd_chaos_job(args) -> int:
     return 0 if result.completed else 1
 
 
-#: Plane subcommand -> (plan class, experiment function) in its package;
-#: resilience has no plan file, its experiment is picked by ``kind``.
+#: Plane subcommand -> (plan class, experiment function) in its package,
+#: and the committed plan under experiments/; resilience's experiment is
+#: picked by ``kind``.
 _SWEEPS = {
-    "resilience": (None, "{kind}_resilience_experiment"),
-    "autoscale": ("DayPlan", "autoscale_experiment"),
-    "carbon": ("CarbonDayPlan", "carbon_experiment"),
-    "dvfs": ("DvfsPlan", "dvfs_experiment"),
-    "durability": ("DurabilityPlan", "durability_experiment"),
+    "resilience": ("GrayPlan", "{kind}_resilience_experiment",
+                   "gray_failures.json"),
+    "autoscale": ("DayPlan", "autoscale_experiment", "autoscale_day.json"),
+    "carbon": ("CarbonDayPlan", "carbon_experiment", "carbon_day.json"),
+    "dvfs": ("DvfsPlan", "dvfs_experiment", "dvfs_day.json"),
+    "durability": ("DurabilityPlan", "durability_experiment",
+                   "durability_day.json"),
 }
 
 
 def _cmd_sweep(args) -> int:
-    """Run one feature plane's committed experiment and print its report.
+    """Run one feature plane's plan and print its report.
 
-    The plane's flags become experiment keywords; resilience always runs
-    the committed gray seed, since its numbers are the repo's pinned
-    acceptance story, not a sampling experiment.
+    The plane's flags become experiment keywords.
     """
     import importlib
     import json
@@ -351,8 +357,6 @@ def _cmd_sweep(args) -> int:
     if getattr(args, "trace", None):
         _check_parent_dir("--trace", args.trace)
         tracer = options["trace"] = Tracer()
-    if getattr(args, "platform", None):
-        options["platform"] = args.platform
     if getattr(args, "platforms", None):
         options["platforms"] = tuple(args.platforms)
     if getattr(args, "no_scorecards", False):
@@ -360,10 +364,10 @@ def _cmd_sweep(args) -> int:
     if getattr(args, "no_controls", False):
         options["controls"] = False
     plane = importlib.import_module(f".{args.command}", __package__)
-    plan_class, experiment = _SWEEPS[args.command]
+    plan_class, experiment, _ = _SWEEPS[args.command]
+    plan = _load_plan("--plan", getattr(plane, plan_class), args.plan)
     run = getattr(plane, experiment.format(kind=getattr(args, "kind", "")))
-    plans = (getattr(plane, plan_class).load(args.plan),) if plan_class else ()
-    report = run(*plans, **options)
+    report = run(plan, **options)
     for line in report.lines():
         print(line)
     if tracer is not None:
@@ -598,17 +602,16 @@ def _add_observability_flags(parser) -> None:
 
 
 def _add_sweep(sub, name: str, help: str) -> argparse.ArgumentParser:
-    """A plane subcommand with ``--plan`` (if the plane has a plan file)
-    and ``--json``, run by :func:`_cmd_sweep`."""
+    """A plane subcommand with ``--plan`` and ``--json``, run by
+    :func:`_cmd_sweep`."""
     parser = sub.add_parser(name, help=help)
-    plan_class = _SWEEPS[name][0]
-    if plan_class is not None:
-        parser.add_argument(
-            "--plan", metavar="FILE",
-            default=os.path.join(os.path.dirname(__file__), "..", "..",
-                                 "experiments", f"{name}_day.json"),
-            help=f"{plan_class} JSON (default: the committed "
-                 f"experiments/{name}_day.json)")
+    plan_class, _, committed = _SWEEPS[name]
+    parser.add_argument(
+        "--plan", metavar="FILE",
+        default=os.path.join(os.path.dirname(__file__), "..", "..",
+                             "experiments", committed),
+        help=f"{plan_class} JSON (default: the committed "
+             f"experiments/{committed})")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the report as JSON to PATH")
     parser.set_defaults(func=_cmd_sweep)
@@ -731,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gray-failure tax report: the same seeded fault plan run with and "
         "without mitigation, and the joule price of the difference")
     res.add_argument("kind", choices=("web", "job"))
-    res.add_argument("--platform", choices=("edison", "dell"),
-                     default="edison")
     autoscale = _add_sweep(
         sub, "autoscale",
         "three-arm provisioning day: static-Edison and static-Dell fleets "

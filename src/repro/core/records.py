@@ -1,14 +1,15 @@
-"""One JSON shape for every feature plane's plan, arm and report.
+"""One JSON shape for every record the repo writes or reads.
 
 The five optional planes (resilience, autoscale, carbon, DVFS,
 durability) each describe an experiment as a frozen dataclass plan,
-run it into arms and collect the arms in a report.  This module owns
-how all of those become JSON and come back, so a plane declares its
-fields and validation and nothing else.  Field values convert by
-their annotated type:
+run it into arms and collect the arms in a report; the load shapes,
+grid signals, fault plans, alerts, detections, exemplars and perf
+samples they carry are records too.  This module owns how all of
+those become JSON and come back, so a type declares its fields and
+validation and nothing else.  Field values convert by their annotated
+type:
 
-* a type with its own ``to_dict``/``from_dict`` (``ShapedLoad``,
-  ``FaultPlan``, ``SignalTrace``, or another record) keeps its format;
+* a type with its own ``to_dict`` keeps its format on the way out;
 * a nested dataclass recurses;
 * ``Tuple[X, ...]`` is a JSON list, ``Mapping[str, X]`` a JSON object
   and ``Optional[X]`` is ``null`` or ``X``;
@@ -18,6 +19,27 @@ A :class:`Record` may name computed properties in ``json_tail``: they
 are written after the fields, in that order, and skipped on the way
 back in.  A field named there moves to its place in the tail, which is
 how a record keeps the key order of a committed file.
+
+The reader is strict, because a committed plan must hold exactly what
+ran: :func:`from_dict` rejects a key the class does not itself write
+(a field or a ``json_tail`` name) and a missing field that has no
+default, each with a :class:`ValueError` that names the key, so a
+misspelled ``"sed"`` cannot quietly run the default seed.  A list or
+object field given any other JSON value is refused the same way.
+:meth:`Record.load` adds the file name to that error and turns a
+missing or non-JSON file into the same ``ValueError``.
+
+Three formats stay hand-written, each a deliberate format decision:
+
+* ``Fault`` and ``RecurringFault`` write only the keys their kind uses
+  (a crash has no ``factor``, a permanent disk loss no ``duration``),
+  so a fault plan reads like the failure it describes; they are read
+  back by the strict reader like any dataclass.
+* ``SloReport`` flattens its ``SloSpec`` into the report and adds
+  the derived verdicts, the shape telemetry bundles and dashboards
+  already consume.
+* ``DetectionReport`` and ``ExemplarStore`` write summary counts or a
+  bare list, not their attributes.
 """
 
 from __future__ import annotations
@@ -59,13 +81,26 @@ def _hints(cls) -> Dict[str, Any]:
 def from_dict(cls, data: AbcMapping):
     """Rebuild a ``cls`` dataclass from :func:`to_dict` output.
 
-    Keys that are not init fields (the ``json_tail``) are ignored; a
-    missing key falls back to the field's default.
+    ``json_tail`` keys are skipped and a missing key falls back to the
+    field's default; any other key, or a missing field without a
+    default, is a ValueError naming it (see the module docstring).
     """
+    if not isinstance(data, AbcMapping):
+        raise ValueError(f"{cls.__name__} must be a JSON object, "
+                         f"not {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields} | set(getattr(cls, "json_tail", ()))
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s) {unknown}")
+    missing = [f.name for f in fields if f.init and f.name not in data
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} lacks key(s) {missing}")
     hints = _hints(cls)
     return cls(**{f.name: _decode(hints[f.name], data[f.name])
-                  for f in dataclasses.fields(cls)
-                  if f.init and f.name in data})
+                  for f in fields if f.init and f.name in data})
 
 
 def _decode(hint, value):
@@ -76,13 +111,15 @@ def _decode(hint, value):
     if origin is typing.Union:          # Optional[X]
         return _decode(args[0], value)
     if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a JSON list, not {value!r}")
         return tuple(_decode(args[0], item) for item in value)
     if origin in (dict, AbcMapping):
+        if not isinstance(value, AbcMapping):
+            raise ValueError(f"expected a JSON object, not {value!r}")
         if not args:
             return dict(value)
         return {key: _decode(args[1], item) for key, item in value.items()}
-    if hasattr(hint, "from_dict"):
-        return hint.from_dict(value)
     if dataclasses.is_dataclass(hint):
         return from_dict(hint, value)
     return value
@@ -109,9 +146,22 @@ class Record:
 
     @classmethod
     def load(cls, path: str):
-        """Read back a file :meth:`save` wrote."""
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Read back a file :meth:`save` wrote.
+
+        A missing, non-JSON, mis-keyed or invalid file is a ValueError
+        that starts with ``path``.
+        """
+        try:
+            with open(path, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        try:
+            return cls.from_dict(data)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def find(items: Iterable, **key):

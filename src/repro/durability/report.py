@@ -36,6 +36,9 @@ DAY_SEED = 20260809
 
 PLATFORMS = ("edison", "dell")
 
+#: Downtime (s) a fault arm may differ by from its no-partition control.
+DOWNTIME_TOL_S = 1e-6
+
 
 @dataclass(frozen=True)
 class DurabilityPlan(Record):
@@ -153,39 +156,36 @@ class DurabilityReport(Report):
     """The whole day, every arm, plus the knee verdict."""
 
     arm_key = ("platform", "rack_aware", "replication")
+    json_tail = ("knee", "partition_downtime_clean")
 
     plan_name: str
     detail: str
     arms: Tuple[DurabilityArm, ...]
     controls: Tuple[DurabilityArm, ...] = ()
 
-    def knee(self, platform: str) -> Optional[int]:
-        """Smallest rack-aware replication that lost nothing all day."""
-        for r in sorted({a.replication for a in self.arms
-                         if a.platform == platform and a.rack_aware}):
-            if self.arm(platform, True, r).durable:
-                return r
-        return None
+    @property
+    def knee(self) -> Dict[str, Optional[int]]:
+        """Per platform (sorted), the smallest rack-aware replication
+        that lost nothing all day, or None."""
+        return {platform: min((a.replication for a in self.arms
+                               if a.platform == platform and a.rack_aware
+                               and a.durable), default=None)
+                for platform in sorted({a.platform for a in self.arms})}
 
-    def partition_downtime_clean(self, tol_s: float = 1e-6) -> bool:
+    @property
+    def partition_downtime_clean(self) -> bool:
         """Partitions add unreachable-seconds but zero downtime.
 
         Each platform's fault arms must match the no-partition control
-        on downtime within ``tol_s`` — the split-brain machinery never
-        books a live (merely severed) node as down.
+        on downtime within ``DOWNTIME_TOL_S`` — the split-brain
+        machinery never books a live (merely severed) node as down.
         """
         for control in self.controls:
             peer = self.arm(control.platform, control.rack_aware,
                             control.replication)
-            if abs(peer.downtime_s - control.downtime_s) > tol_s:
+            if abs(peer.downtime_s - control.downtime_s) > DOWNTIME_TOL_S:
                 return False
         return True
-
-    def to_dict(self) -> Dict:
-        return super().to_dict() | {
-            "knee": {p: self.knee(p)
-                     for p in sorted({a.platform for a in self.arms})},
-            "partition_downtime_clean": self.partition_downtime_clean()}
 
     def lines(self) -> List[str]:
         out = [f"Durability day — {self.plan_name} ({self.detail})"]
@@ -201,8 +201,7 @@ class DurabilityReport(Report):
                 f"{arm.repairs_completed:>8d} "
                 f"{arm.re_replication_j:>9.1f} "
                 f"{arm.split_brain_j:>9.1f}")
-        for platform in sorted({a.platform for a in self.arms}):
-            knee = self.knee(platform)
+        for platform, knee in self.knee.items():
             r1 = None
             try:
                 r1 = self.arm(platform, True, 1)
@@ -224,7 +223,7 @@ class DurabilityReport(Report):
                     line += (f", r={knee + 1} pays {extra:+.1f}% energy "
                              f"for nothing more")
             out.append(line)
-        clean = self.partition_downtime_clean()
+        clean = self.partition_downtime_clean
         out.append("  reconciliation: partitions added "
                    + ("zero downtime (clean)" if clean
                       else "DOWNTIME — split-brain accounting leak"))

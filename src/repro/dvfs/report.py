@@ -14,7 +14,7 @@ latency has not earned its complexity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..core.records import Record, Report
 from ..web.loadshape import ShapedLoad
@@ -107,12 +107,14 @@ class DvfsReport(Report):
     """The whole sweep, plus the proportionality scorecards."""
 
     arm_key = ("platform", "shape_name", "governor")
+    json_tail = ("ondemand_wins",)
 
     plan_name: str
     detail: str
     arms: Tuple[DvfsArm, ...]
     scorecards: Tuple[ProportionalityScorecard, ...] = ()
 
+    @property
     def ondemand_wins(self) -> List[str]:
         """Platform/shape pairs where ondemand strictly beats
         performance on joules at equal-or-better SLO attainment."""
@@ -132,9 +134,6 @@ class DvfsReport(Report):
             out.append(f"{arm.platform}/{arm.shape_name}")
         return out
 
-    def to_dict(self) -> Dict:
-        return super().to_dict() | {"ondemand_wins": self.ondemand_wins()}
-
     def lines(self) -> List[str]:
         out = [f"DVFS governor sweep — {self.plan_name} ({self.detail})"]
         out.append(f"  {'arm':34s} {'energy':>9s} {'power':>8s} "
@@ -149,7 +148,7 @@ class DvfsReport(Report):
                 f"{arm.work_per_joule * 1000:>9.0f} "
                 f"{'met' if arm.slo_attained else 'MISS':>5s} "
                 f"{arm.transitions:>9d}")
-        wins = self.ondemand_wins()
+        wins = self.ondemand_wins
         if wins:
             out.append("  verdict: ondemand beats performance on joules "
                        "at equal SLO attainment on " + ", ".join(wins))

@@ -56,10 +56,11 @@ cards):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from ..core.records import Record
 
 #: The recognised fault kinds.
 FAULT_KINDS = ("crash", "power", "nic", "disk_stall", "disk_fail",
@@ -301,8 +302,12 @@ class RecurringFault:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """Everything a chaos run will inject: one-shots plus processes."""
+class FaultPlan(Record):
+    """Everything a chaos run will inject: one-shots plus processes.
+
+    The JSON form (``--fault-plan FILE``) is ``{"faults": [...],
+    "recurring": [...]}``, each entry in its kind's sparse encoding.
+    """
 
     faults: Tuple[Fault, ...] = field(default_factory=tuple)
     recurring: Tuple[RecurringFault, ...] = field(default_factory=tuple)
@@ -367,45 +372,6 @@ class FaultPlan:
             faults=tuple(f for f in self.faults if f.kind not in drop),
             recurring=tuple(r for r in self.recurring
                             if r.kind not in drop))
-
-    # -- (de)serialisation for --fault-plan FILE -------------------------
-
-    def to_dict(self) -> Dict:
-        return {"faults": [f.to_dict() for f in self.faults],
-                "recurring": [r.to_dict() for r in self.recurring]}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise ValueError("fault plan must be a JSON object")
-        unknown = set(data) - {"faults", "recurring"}
-        if unknown:
-            raise ValueError(f"unknown fault-plan keys {sorted(unknown)}")
-        faults = [Fault(**item) for item in data.get("faults", ())]
-        recurring = [RecurringFault(**item)
-                     for item in data.get("recurring", ())]
-        return cls(faults=tuple(faults), recurring=tuple(recurring))
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        """Read a plan from a JSON file (the CLI's ``--fault-plan``)."""
-        with open(path) as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        try:
-            return cls.from_dict(data)
-        except TypeError as exc:
-            # A misspelled field name surfaces as an unexpected-kwarg
-            # TypeError from the dataclass constructor; re-raise with
-            # the file attached so the user can find it.
-            raise ValueError(f"{path}: {exc}") from exc
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
 
 
 def single_node_kill(node: str, at: float,

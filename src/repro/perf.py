@@ -28,6 +28,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Tuple
 
+from .core.records import Record
+
 #: One web cell per total node count: (total, "<web>x<cache>" layout,
 #: httperf concurrency).  24 web + 11 cache is the paper's full Edison
 #: layout (35 nodes); larger cells scale both roles proportionally and
@@ -56,7 +58,7 @@ SEED = 20160901
 
 
 @dataclass(frozen=True)
-class PerfSample:
+class PerfSample(Record):
     """One measured cell: speed numbers plus its fidelity digest."""
 
     wall_s: float
@@ -65,9 +67,6 @@ class PerfSample:
     events_per_s: float
     heap_peak: int
     digest: Dict
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
 
 
 def _sample(sim, wall_s: float, digest: Dict) -> PerfSample:

@@ -23,16 +23,14 @@ from .config import (AdmissionConfig, BreakerConfig, HedgeConfig,
 from .ledger import ResilienceLedger
 
 __all__ = [
-    "AdmissionConfig", "BreakerConfig", "CircuitBreaker", "HedgeConfig",
-    "ResilienceArm", "ResilienceConfig", "ResilienceLedger",
+    "AdmissionConfig", "BreakerConfig", "CircuitBreaker", "GrayPlan",
+    "HedgeConfig", "ResilienceArm", "ResilienceConfig", "ResilienceLedger",
     "ResilienceTaxReport", "RetryPolicy", "SpeculationConfig",
-    "job_gray_plan", "job_resilience_experiment", "web_gray_plan",
-    "web_resilience_experiment",
+    "job_resilience_experiment", "web_resilience_experiment",
 ]
 
-_REPORT_NAMES = ("ResilienceArm", "ResilienceTaxReport", "job_gray_plan",
-                 "job_resilience_experiment", "web_gray_plan",
-                 "web_resilience_experiment")
+_REPORT_NAMES = ("GrayPlan", "ResilienceArm", "ResilienceTaxReport",
+                 "job_resilience_experiment", "web_resilience_experiment")
 
 
 def __getattr__(name):

@@ -1,6 +1,6 @@
 """The resilience energy tax: what surviving gray failures costs.
 
-Two paired experiments run the *same* seeded gray-failure plan twice —
+Two paired experiments run one committed, seeded :class:`GrayPlan` twice —
 once with every mitigation off (the historical, bit-identical path) and
 once with a :class:`~repro.resilience.ResilienceConfig` armed — and
 report both arms side by side:
@@ -25,60 +25,53 @@ tax is visible, not hidden inside the total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from ..core.records import Record
-from ..faults.models import (FaultPlan, cpu_throttle, node_crash,
-                             packet_loss)
+from ..faults.models import FaultPlan
 from .config import ResilienceConfig
 
-#: Seed of the committed gray-failure experiment (acceptance suite + docs).
-GRAY_SEED = 42
+#: The web experiment: the 1/4-scale Edison tier under 24 new
+#: connections/s for 30 s after a 1 s warm-up.
+PLATFORM = "edison"
+WEB_SCALE = "1/4"
+WEB_CONCURRENCY = 24
+WEB_DURATION_S = 30.0
+WEB_WARMUP_S = 1.0
+
+#: The job experiment: single-wave optimized wordcount on 8 Edison
+#: slaves; an arm still running at the deadline counts as failed.
+JOB = "wordcount2"
+JOB_SLAVES = 8
+JOB_DEADLINE_S = 100_000.0
 
 
-# -- committed gray-failure plans ----------------------------------------
+@dataclass(frozen=True)
+class GrayPlan(Record):
+    """The committed gray-failure experiment
+    (``experiments/gray_failures.json``): one seed and one fault plan
+    per workload, node names as the Edison testbed spells them.
 
-
-def web_gray_plan(nodes: Sequence[str]) -> FaultPlan:
-    """The committed web-tier gray-failure plan over ``nodes``.
-
-    Needs at least five web servers: three get thermally throttled to
+    ``web`` needs five web servers: three get thermally throttled to
     8 % of nominal DMIPS, one gets 30 % packet loss, and one crashes
     outright (repaired after 8 s) — every failure mode is *gray* except
     the one clean crash, which exercises detection-based failover next
     to the mitigation-based kind.
+
+    ``job`` drops one slave to 8 % DMIPS *permanently* — a stuck
+    P-state or a failed fan, the canonical gray failure: the
+    NodeManager still heartbeats, so nothing evicts it, and on a
+    single-wave job every map it holds becomes an unbounded straggler.
+    A second slave throttles more mildly for ~6 minutes (a passing
+    thermal event), and a third crashes mid-map and comes back — so the
+    unmitigated run both *fails task attempts* (the crash) and waits on
+    the limping node for most of its makespan, burning idle watts on
+    every healthy slave meanwhile.
     """
-    if len(nodes) < 5:
-        raise ValueError("the gray plan needs at least 5 target nodes")
-    return FaultPlan(faults=(
-        cpu_throttle(nodes[0], at=2.0, duration=26.0, factor=0.08),
-        cpu_throttle(nodes[1], at=2.0, duration=26.0, factor=0.08),
-        cpu_throttle(nodes[2], at=2.0, duration=26.0, factor=0.08),
-        node_crash(nodes[3], at=3.0, repair_s=8.0),
-        packet_loss(nodes[4], at=2.0, duration=26.0, loss=0.3),
-    ))
 
-
-def job_gray_plan(nodes: Sequence[str]) -> FaultPlan:
-    """The committed MapReduce gray-failure plan over ``nodes``.
-
-    One slave drops to 8 % DMIPS *permanently* — a stuck P-state or a
-    failed fan, the canonical gray failure: the NodeManager still
-    heartbeats, so nothing evicts it, and on a single-wave job every
-    map it holds becomes an unbounded straggler.  A second slave
-    throttles more mildly for ~6 minutes (a passing thermal event), and
-    a third crashes mid-map and comes back — so the unmitigated run
-    both *fails task attempts* (the crash) and waits on the limping
-    node for most of its makespan, burning idle watts on every healthy
-    slave meanwhile.
-    """
-    if len(nodes) < 3:
-        raise ValueError("the gray plan needs at least 3 target nodes")
-    return FaultPlan(faults=(
-        cpu_throttle(nodes[0], at=30.0, duration=1e9, factor=0.08),
-        cpu_throttle(nodes[1], at=30.0, duration=385.0, factor=0.35),
-        node_crash(nodes[2], at=60.0, repair_s=45.0),
-    ))
+    seed: int
+    web: FaultPlan
+    job: FaultPlan
 
 
 # -- the two-arm report --------------------------------------------------
@@ -210,35 +203,30 @@ class ResilienceTaxReport(Record):
 # -- web experiment ------------------------------------------------------
 
 
-def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
-                              concurrency: int = 24,
-                              duration: float = 30.0, warmup: float = 1.0,
-                              seed: int = GRAY_SEED,
-                              plan: Optional[FaultPlan] = None,
-                              config: Optional[ResilienceConfig] = None,
+def web_resilience_experiment(plan: GrayPlan,
                               trace=None) -> ResilienceTaxReport:
-    """Run the committed web gray plan twice and report the tax.
+    """Run the plan's web faults twice and report the tax.
 
-    Both arms share the seed, the plan and the offered load; the only
-    difference is the :class:`ResilienceConfig`.  Telemetry rides along
-    on each arm for the SLO verdicts (its attachment is bit-neutral).
+    Both arms share the seed, the faults and the offered load; the only
+    difference is the stock :class:`ResilienceConfig`.  Telemetry rides
+    along on each arm for the SLO verdicts (its attachment is
+    bit-neutral).
     """
     from ..telemetry import Telemetry     # deferred: import cycle
     from ..web import WebServiceDeployment
-    if config is None:
-        config = ResilienceConfig()
 
     def arm(label: str, resilience: Optional[ResilienceConfig]):
-        deployment = WebServiceDeployment(platform, scale, seed=seed,
+        deployment = WebServiceDeployment(PLATFORM, WEB_SCALE,
+                                          seed=plan.seed,
                                           resilience=resilience,
                                           trace=trace)
         telemetry = Telemetry()
-        telemetry.attach_web(deployment, until=duration)
-        the_plan = plan if plan is not None else web_gray_plan(
-            [w.server.name for w in deployment.web_nodes])
-        deployment.attach_faults(the_plan)
-        level = deployment.run_level(concurrency, duration=duration,
-                                     warmup=warmup, collect_delays=True)
+        telemetry.attach_web(deployment, until=WEB_DURATION_S)
+        deployment.attach_faults(plan.web)
+        level = deployment.run_level(WEB_CONCURRENCY,
+                                     duration=WEB_DURATION_S,
+                                     warmup=WEB_WARMUP_S,
+                                     collect_delays=True)
         slo = telemetry.slo_report()
         ledger = deployment.resilience_ledger
         return ResilienceArm(
@@ -255,10 +243,10 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
                           if ledger is not None else {}))
 
     unmitigated = arm("unmitigated", None)
-    mitigated = arm("mitigated", config)
-    return ResilienceTaxReport(kind="web", platform=platform,
-                               detail=f"scale {scale}, "
-                                      f"{concurrency} conn/s",
+    mitigated = arm("mitigated", ResilienceConfig())
+    return ResilienceTaxReport(kind="web", platform=PLATFORM,
+                               detail=f"scale {WEB_SCALE}, "
+                                      f"{WEB_CONCURRENCY} conn/s",
                                unmitigated=unmitigated,
                                mitigated=mitigated)
 
@@ -266,38 +254,32 @@ def web_resilience_experiment(platform: str = "edison", scale: str = "1/4",
 # -- MapReduce experiment ------------------------------------------------
 
 
-def job_resilience_experiment(job: str = "wordcount2",
-                              platform: str = "edison", slaves: int = 8,
-                              seed: int = GRAY_SEED,
-                              plan: Optional[FaultPlan] = None,
-                              config: Optional[ResilienceConfig] = None,
-                              deadline_s: float = 100_000.0,
+def job_resilience_experiment(plan: GrayPlan,
                               trace=None) -> ResilienceTaxReport:
-    """Run one Table 8 job under the gray plan, with and without LATE."""
+    """Run one Table 8 job under the plan's job faults, with and
+    without LATE."""
     from ..faults import FaultInjector    # deferred: import cycle
     from ..mapreduce import JOB_FACTORIES, JobRunner
     from ..mapreduce.runtime import JobFailed
-    if config is None:
-        config = ResilienceConfig()
 
     def arm(label: str, resilience: Optional[ResilienceConfig]):
-        spec, hadoop_config = JOB_FACTORIES[job](platform, slaves)
-        runner = JobRunner(platform, slaves, config=hadoop_config,
-                           seed=seed, resilience=resilience, trace=trace)
-        the_plan = plan if plan is not None else job_gray_plan(
-            [s.name for s in runner.slave_servers])
-        FaultInjector(runner.cluster, the_plan)
+        spec, hadoop_config = JOB_FACTORIES[JOB](PLATFORM, JOB_SLAVES)
+        runner = JobRunner(PLATFORM, JOB_SLAVES, config=hadoop_config,
+                           seed=plan.seed, resilience=resilience,
+                           trace=trace)
+        FaultInjector(runner.cluster, plan.job)
         completed = True
         report = None
         try:
-            report = runner.run(spec, deadline_s=deadline_s)
+            report = runner.run(spec, deadline_s=JOB_DEADLINE_S)
         except JobFailed:
             completed = False
         ledger = runner.resilience_ledger
         return ResilienceArm(
             label=label, completed=completed,
             work_done=1.0 if completed else 0.0,
-            seconds=report.seconds if report is not None else deadline_s,
+            seconds=(report.seconds if report is not None
+                     else JOB_DEADLINE_S),
             joules=report.joules if report is not None else 0.0,
             task_failures=runner.state.failed_attempts,
             counters=dict(ledger.counters) if ledger is not None else {},
@@ -305,8 +287,8 @@ def job_resilience_experiment(job: str = "wordcount2",
                           if ledger is not None else {}))
 
     unmitigated = arm("unmitigated", None)
-    mitigated = arm("mitigated", config)
-    return ResilienceTaxReport(kind="job", platform=platform,
-                               detail=f"{job}, {slaves} slaves",
+    mitigated = arm("mitigated", ResilienceConfig())
+    return ResilienceTaxReport(kind="job", platform=PLATFORM,
+                               detail=f"{JOB}, {JOB_SLAVES} slaves",
                                unmitigated=unmitigated,
                                mitigated=mitigated)

@@ -15,8 +15,9 @@ kept in the history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..core.records import Record
 from .tsdb import TimeSeriesDB
 
 _OPS = {
@@ -193,7 +194,7 @@ class SpreadRule:
 
 
 @dataclass
-class Alert:
+class Alert(Record):
     """One firing (possibly later resolved) instance of a rule."""
 
     rule: str
@@ -211,17 +212,6 @@ class Alert:
         if self.resolved_at is None:
             return None
         return self.resolved_at - self.fired_at
-
-    def to_dict(self) -> Dict:
-        return {"rule": self.rule, "node": self.node,
-                "fired_at": self.fired_at, "value": self.value,
-                "resolved_at": self.resolved_at}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Alert":
-        return cls(rule=data["rule"], node=data["node"],
-                   fired_at=data["fired_at"], value=data["value"],
-                   resolved_at=data.get("resolved_at"))
 
 
 class AlertManager:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.records import Record
 from ..faults.models import NODE_DOWN_KINDS, PARTITION_KINDS
 
 #: Which alert rules assert "silent but alive" rather than "dead".
@@ -184,7 +185,7 @@ class SloReport:
 
 
 @dataclass(frozen=True)
-class Detection:
+class Detection(Record):
     """One injected fault and how the alerting plane saw it.
 
     ``expected`` is the ground-truth dead-vs-unreachable label from the
@@ -193,6 +194,8 @@ class Detection:
     only by ``node_silent`` is a *misclassification* — the operator
     would have declared a live rack dead.
     """
+
+    json_tail = ("time_to_detect",)
 
     kind: str
     node: str
@@ -218,22 +221,6 @@ class Detection:
         if not self.expected or not self.detected:
             return None
         return self.observed == self.expected
-
-    def to_dict(self) -> Dict:
-        return {"kind": self.kind, "node": self.node,
-                "injected_at": self.injected_at,
-                "detected_at": self.detected_at, "rule": self.rule,
-                "expected": self.expected, "observed": self.observed,
-                "time_to_detect": self.time_to_detect}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Detection":
-        return cls(kind=data["kind"], node=data["node"],
-                   injected_at=data["injected_at"],
-                   detected_at=data.get("detected_at"),
-                   rule=data.get("rule"),
-                   expected=data.get("expected", ""),
-                   observed=data.get("observed", ""))
 
 
 @dataclass(frozen=True)

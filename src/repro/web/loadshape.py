@@ -13,10 +13,11 @@ which is what lets the headline experiment commit one canonical day.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Tuple
+
+from ..core.records import Record
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class FlashCrowd:
 
 
 @dataclass(frozen=True)
-class ShapedLoad:
+class ShapedLoad(Record):
     """A diurnal base modulated by zero or more flash crowds."""
 
     diurnal: DiurnalShape
@@ -109,36 +110,3 @@ class ShapedLoad:
         for flash in self.flashes:
             bound *= flash.multiplier
         return bound
-
-    # -- (de)serialisation, for the committed experiment plan ------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "diurnal": {
-                "base_rps": self.diurnal.base_rps,
-                "peak_rps": self.diurnal.peak_rps,
-                "period_s": self.diurnal.period_s,
-                "trough_at_s": self.diurnal.trough_at_s,
-            },
-            "flashes": [
-                {"at_s": f.at_s, "ramp_s": f.ramp_s, "hold_s": f.hold_s,
-                 "decay_s": f.decay_s, "multiplier": f.multiplier}
-                for f in self.flashes
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ShapedLoad":
-        diurnal = DiurnalShape(**data["diurnal"])
-        flashes = tuple(FlashCrowd(**f) for f in data.get("flashes", ()))
-        return cls(diurnal=diurnal, flashes=flashes)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ShapedLoad":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

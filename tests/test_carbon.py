@@ -342,7 +342,7 @@ def test_committed_day_headline(committed_report):
     beats no-wait on grams CO2 at zero deadline misses."""
     _, report = committed_report
     for platform in ("edison", "dell"):
-        dominating = report.dominating_policies(platform)
+        dominating = report.dominating_policies[platform]
         assert set(dominating) & {"threshold", "suspend-resume"}, platform
         for policy in dominating:
             arm = report.arm(policy, platform)
@@ -355,7 +355,7 @@ def test_committed_day_edison_vs_r620_delta(committed_report):
     """The paper's platform gap, restated in grams: the R620 day emits
     a multiple of the Edison day's CO2, at release and at best."""
     _, report = committed_report
-    delta = report.platform_delta()
+    delta = report.platform_delta
     assert delta is not None
     assert delta["no_wait_ratio"] > 2.0
     assert delta["best_ratio"] > 2.0

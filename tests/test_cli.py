@@ -233,3 +233,67 @@ def test_durability_command_runs_a_tiny_day(tmp_path, capsys):
     assert labels == ["dell/oblivious/r2", "dell/rack-aware/r2"]
     assert [c["label"] for c in report["controls"]] == \
         ["dell/rack-aware/r2/control"]
+
+
+def test_resilience_job_command_prices_speculation(capsys):
+    assert main(["resilience", "job"]) == 0
+    out = capsys.readouterr().out
+    assert "Resilience energy tax — job (edison, wordcount2, 8 slaves)" in out
+    assert "speculative_wins=2" in out
+    with pytest.raises(SystemExit):     # the plan is Edison's only
+        main(["resilience", "job", "--platform", "dell"])
+
+
+#: Every flag that reads a plan file: argv up to the flag, and a plan
+#: missing a field that has no default.
+PLAN_FLAGS = {
+    "resilience": (["resilience", "job", "--plan"], "{}"),
+    "autoscale": (["autoscale", "--plan"], "{}"),
+    "carbon": (["carbon", "--plan"], "{}"),
+    "dvfs": (["dvfs", "--plan"], "{}"),
+    "durability": (["durability", "--plan"], "{}"),
+    "fault-plan": (["job", "pi", "--fault-plan"],
+                   '{"faults": [{"kind": "crash"}]}'),
+}
+
+
+def _plan_error(argv) -> str:
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return str(info.value.code)
+
+
+@pytest.mark.parametrize("target", sorted(PLAN_FLAGS))
+@pytest.mark.parametrize("problem", ["missing", "not-json", "partial"])
+def test_bad_plan_file_is_a_one_line_error(target, problem, tmp_path):
+    argv, partial = PLAN_FLAGS[target]
+    path = tmp_path / "plan.json"
+    if problem == "not-json":
+        path.write_text("{not json")
+    elif problem == "partial":
+        path.write_text(partial)
+    message = _plan_error(argv + [str(path)])
+    assert message.startswith(f"repro: error: {argv[-1]}: {path}: ")
+    assert {"missing": "No such file or directory",
+            "not-json": "not valid JSON",
+            "partial": "lacks key(s)"}[problem] in message
+
+
+def test_misspelled_plan_key_is_a_one_line_error(tmp_path):
+    """A typo in a plan is refused, never run with the default."""
+    import json
+
+    from repro.dvfs import DvfsPlan
+    from repro.web import DiurnalShape, ShapedLoad
+
+    plan = DvfsPlan(
+        name="tiny",
+        shapes={"fixed": ShapedLoad(DiurnalShape(
+            base_rps=40.0, peak_rps=40.0, period_s=2.0))},
+        duration_s=2.0, calls=2, seed=5).to_dict()
+    plan["sed"] = plan.pop("seed")
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    message = _plan_error(["dvfs", "--plan", str(path), "--no-scorecards"])
+    assert message == (f"repro: error: --plan: {path}: "
+                       "unknown DvfsPlan key(s) ['sed']")

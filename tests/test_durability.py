@@ -437,8 +437,8 @@ def test_report_knee_and_downtime_check():
     controls = (synthetic_arm(replication=3, control=True,
                               joules=900.0),)
     report = DurabilityReport("day", "detail", arms, controls)
-    assert report.knee("edison") == 2
-    assert report.partition_downtime_clean()
+    assert report.knee["edison"] == 2
+    assert report.partition_downtime_clean
     assert not report.arm("edison", True, 1).durable
     assert report.arm("edison", True, 2).durable
     with pytest.raises(KeyError):
@@ -449,7 +449,7 @@ def test_report_knee_and_downtime_check():
     leaky = (arms[0], arms[1],
              synthetic_arm(replication=3, downtime_s=5.0))
     assert not DurabilityReport("day", "d", leaky,
-                                controls).partition_downtime_clean()
+                                controls).partition_downtime_clean
 
 
 def test_report_verdicts_and_lines():

@@ -377,7 +377,7 @@ def test_report_wins_require_joules_and_slo():
               _arm("ondemand", 110.0, shape="diurnal")))
     # Fewer joules at equal SLO wins; missing the SLO the rival meets,
     # or burning more, does not.
-    assert report.ondemand_wins() == ["edison/fixed"]
+    assert report.ondemand_wins == ["edison/fixed"]
     assert report.arm("edison", "fixed", "ondemand").joules == 90.0
     with pytest.raises(KeyError):
         report.arm("dell", "fixed", "ondemand")

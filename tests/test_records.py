@@ -1,9 +1,10 @@
-"""The feature planes' JSON format, pinned.
+"""The JSON format of every record, pinned.
 
-Every committed plan must load and write back exactly the file's JSON,
-and one small report per plane, built from hand-made arms with no
-simulation, must round-trip through ``to_dict``/``from_dict`` with its
-table and verdicts unchanged.
+Every committed plan must load and write back exactly the file's bytes,
+and a misspelled key in any of them is refused by name.  Each record
+the planes carry round-trips in its format, and one small report per
+plane, built from hand-made arms with no simulation, must round-trip
+through ``to_dict``/``from_dict`` with its table and verdicts unchanged.
 """
 
 import json
@@ -28,22 +29,192 @@ def _committed(name):
     from repro.durability import DurabilityPlan
     from repro.dvfs import DvfsPlan
     from repro.faults import FaultPlan
+    from repro.resilience import GrayPlan
     file, _, key = name.partition("/")
     data = _read(f"{file}.json")
     if key:
         return FaultPlan, data[key]
     return {"autoscale_day": DayPlan, "carbon_day": CarbonDayPlan,
-            "dvfs_day": DvfsPlan, "durability_day": DurabilityPlan}[file], data
+            "dvfs_day": DvfsPlan, "durability_day": DurabilityPlan,
+            "gray_failures": GrayPlan}[file], data
 
 
-@pytest.mark.parametrize("name", ["autoscale_day", "carbon_day", "dvfs_day",
-                                  "durability_day", "gray_failures/web",
-                                  "gray_failures/job"])
+PLANS = ["autoscale_day", "carbon_day", "dvfs_day", "durability_day",
+         "gray_failures"]
+
+
+@pytest.mark.parametrize("name", PLANS + ["gray_failures/web",
+                                          "gray_failures/job"])
 def test_committed_plan_writes_back_its_file(name):
     cls, data = _committed(name)
     plan = cls.from_dict(data)
     assert plan.to_dict() == data
     assert cls.from_dict(plan.to_dict()) == plan
+
+
+@pytest.mark.parametrize("name", PLANS)
+def test_committed_plan_file_is_its_record_saved(name, tmp_path):
+    """Loading and saving a committed file gives back its own bytes."""
+    cls, _ = _committed(name)
+    path = os.path.join(EXPERIMENTS, f"{name}.json")
+    copy = tmp_path / "copy.json"
+    cls.load(path).save(str(copy))
+    with open(path, "rb") as handle:
+        assert copy.read_bytes() == handle.read()
+
+
+def test_gray_plan_names_the_edison_testbed():
+    """The committed faults hit five web servers and three slaves; a
+    smaller fleet is refused by name before any run starts."""
+    from repro.resilience import GrayPlan
+    plan = GrayPlan.load(os.path.join(EXPERIMENTS, "gray_failures.json"))
+    web = [f"web-{i}" for i in range(5)]
+    slaves = [f"edison-slave-{i}" for i in range(3)]
+    plan.web.check_against(web)
+    plan.job.check_against(slaves)
+    with pytest.raises(ValueError, match="web-4"):
+        plan.web.check_against(web[:4])
+    with pytest.raises(ValueError, match="edison-slave-2"):
+        plan.job.check_against(slaves[:2])
+
+
+def _misspell(data, path, typo):
+    """``data`` with the key at ``path`` renamed to ``typo``."""
+    data = json.loads(json.dumps(data))
+    *parents, key = path
+    holder = data
+    for step in parents:
+        holder = holder[step]
+    holder[typo] = holder.pop(key)
+    return data
+
+
+#: One misspelled key per plan class: (committed plan, key path, typo).
+MISSPELLINGS = [
+    ("autoscale_day", ("seed",), "sed"),
+    ("carbon_day", ("seed",), "sed"),
+    ("dvfs_day", ("seed",), "sed"),
+    ("durability_day", ("seed",), "sed"),
+    ("gray_failures", ("seed",), "sed"),
+    ("gray_failures/job", ("faults", 0, "at"), "att"),
+    ("gray_failures/web", ("recurring",), "recuring"),
+]
+
+
+@pytest.mark.parametrize("name, path, typo", MISSPELLINGS)
+def test_misspelled_key_is_rejected_by_name(name, path, typo, tmp_path):
+    cls, data = _committed(name)
+    bad = _misspell(data, path, typo)
+    with pytest.raises(ValueError, match=f"'{typo}'"):
+        cls.from_dict(bad)
+    file = tmp_path / "plan.json"
+    file.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match=f"'{typo}'") as info:
+        cls.load(str(file))
+    assert str(info.value).startswith(f"{file}: ")
+
+
+def test_load_names_the_file_for_any_bad_input(tmp_path):
+    from repro.faults import FaultPlan
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ValueError, match="No such file"):
+        FaultPlan.load(str(missing))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    with pytest.raises(ValueError, match="not valid JSON") as info:
+        FaultPlan.load(str(garbage))
+    assert str(info.value).startswith(f"{garbage}: ")
+    partial = tmp_path / "partial.json"
+    partial.write_text('{"faults": [{"kind": "crash", "node": "a"}]}')
+    with pytest.raises(ValueError, match=r"lacks key\(s\) \['at'\]"):
+        FaultPlan.load(str(partial))
+    partial.write_text("[]")
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        FaultPlan.load(str(partial))
+    partial.write_text('{"faults": [{"kind": "partition", "node": "x", '
+                       '"at": 1.0, "duration": 2.0, "nodes": "n2,n3"}]}')
+    with pytest.raises(ValueError, match="expected a JSON list"):
+        FaultPlan.load(str(partial))
+
+
+# -- the records planes carry ------------------------------------------------
+
+
+def _records():
+    """One hand-built value per record type and the JSON it must write
+    (the format each type had before it moved onto this module)."""
+    from repro.carbon import SignalTrace
+    from repro.causality.exemplars import Exemplar
+    from repro.faults import FaultPlan, RecurringFault
+    from repro.faults.models import (disk_failure, node_crash,
+                                     node_set_partition)
+    from repro.perf import PerfSample
+    from repro.telemetry import Detection
+    from repro.telemetry.rules import Alert
+    from repro.web import DiurnalShape, FlashCrowd, ShapedLoad
+    return {
+        "ShapedLoad": (
+            ShapedLoad(DiurnalShape(90.0, 400.0, 60.0),
+                       (FlashCrowd(30.0, 8.0, 6.0, 10.0, 1.9),)),
+            {"diurnal": {"base_rps": 90.0, "peak_rps": 400.0,
+                         "period_s": 60.0, "trough_at_s": 0.0},
+             "flashes": [{"at_s": 30.0, "ramp_s": 8.0, "hold_s": 6.0,
+                          "decay_s": 10.0, "multiplier": 1.9}]}),
+        "SignalTrace": (
+            SignalTrace("price", "usd/kWh", ((0.0, 0.08), (2160.0, 0.12)),
+                        period_s=7200.0),
+            {"name": "price", "unit": "usd/kWh",
+             "points": [[0.0, 0.08], [2160.0, 0.12]],
+             "interpolation": "step", "period_s": 7200.0}),
+        "FaultPlan": (
+            FaultPlan(faults=(node_crash("n0", at=3.0, repair_s=8.0),
+                              disk_failure("n1", at=7.0),
+                              node_set_partition(("n2", "n3"), at=1.0,
+                                                 duration=2.0)),
+                      recurring=(RecurringFault(kind="nic", node="n0",
+                                                mtbf_s=60.0, mttr_s=2.0,
+                                                factor=0.25),)),
+            {"faults": [{"kind": "crash", "node": "n0", "at": 3.0,
+                         "duration": 8.0},
+                        {"kind": "disk_fail", "node": "n1", "at": 7.0},
+                        {"kind": "partition", "node": "n2,n3", "at": 1.0,
+                         "duration": 2.0, "nodes": ["n2", "n3"]}],
+             "recurring": [{"kind": "nic", "node": "n0", "mtbf_s": 60.0,
+                            "mttr_s": 2.0, "factor": 0.25}]}),
+        "Alert": (
+            Alert("node_down", "web-0", fired_at=1.5, value=1.0,
+                  resolved_at=4.0),
+            {"rule": "node_down", "node": "web-0", "fired_at": 1.5,
+             "value": 1.0, "resolved_at": 4.0}),
+        "Detection": (
+            Detection("crash", "web-0", injected_at=1.0, detected_at=1.5,
+                      rule="node_down", expected="down", observed="down"),
+            {"kind": "crash", "node": "web-0", "injected_at": 1.0,
+             "detected_at": 1.5, "rule": "node_down", "expected": "down",
+             "observed": "down", "time_to_detect": 0.5}),
+        "Exemplar": (
+            Exemplar(value=0.25, trace_id=17, bucket=42),
+            {"value": 0.25, "trace_id": 17, "bucket": 42}),
+        "PerfSample": (
+            PerfSample(wall_s=1.5, scheduled=10, processed=9,
+                       events_per_s=6.0, heap_peak=4,
+                       digest={"ok_calls": 3, "delays": [0.1, 0.2]}),
+            {"wall_s": 1.5, "scheduled": 10, "processed": 9,
+             "events_per_s": 6.0, "heap_peak": 4,
+             "digest": {"ok_calls": 3, "delays": [0.1, 0.2]}}),
+    }
+
+
+@pytest.mark.parametrize("name", ["ShapedLoad", "SignalTrace", "FaultPlan",
+                                  "Alert", "Detection", "Exemplar",
+                                  "PerfSample"])
+def test_record_round_trips_in_its_format(name):
+    record, expected = _records()[name]
+    data = record.to_dict()
+    assert json.dumps(data) == json.dumps(expected)
+    again = type(record).from_dict(json.loads(json.dumps(data)))
+    assert again == record
+    assert again.to_dict() == data
 
 
 # -- one synthetic report per plane ------------------------------------------
@@ -152,11 +323,10 @@ SYNTHETIC = {"resilience": _resilience, "autoscale": _autoscale,
 VERDICTS = {
     "resilience": lambda r: (r.energy_overhead_fraction, r.waste_fraction,
                              r.work_per_joule_ratio),
-    "autoscale": lambda r: r.dominated_arms(),
-    "carbon": lambda r: ({p: r.dominating_policies(p)
-                          for p in ("edison", "dell")}, r.platform_delta()),
-    "dvfs": lambda r: r.ondemand_wins(),
-    "durability": lambda r: (r.knee("edison"), r.partition_downtime_clean()),
+    "autoscale": lambda r: r.dominated_arms,
+    "carbon": lambda r: (r.dominating_policies, r.platform_delta),
+    "dvfs": lambda r: r.ondemand_wins,
+    "durability": lambda r: (r.knee["edison"], r.partition_downtime_clean),
 }
 EXPECTED = {
     "resilience": (470.0 / 450.0 - 1.0, 7.75 / 470.0,

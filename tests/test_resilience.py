@@ -5,8 +5,6 @@ plus the satellite fixes riding this PR: overlapping faults on one
 node, client-side failures in the SLO arithmetic, and the TCP SYN
 retry budget past the kernel table."""
 
-import json
-import os
 from dataclasses import asdict
 
 import pytest
@@ -20,12 +18,9 @@ from repro.net.tcp import SYN_RETRY_DELAYS, ConnectTimeout, TcpListener
 from repro.resilience import (AdmissionConfig, BreakerConfig, CircuitBreaker,
                               HedgeConfig, ResilienceConfig, ResilienceLedger,
                               RetryPolicy, SpeculationConfig)
-from repro.resilience.report import job_gray_plan, web_gray_plan
 from repro.sim import Simulation, backoff_delay
 from repro.telemetry import SloReport, SloSpec, Telemetry
 from repro.web import WebServiceDeployment
-
-EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
 
 
 # -- circuit breaker ----------------------------------------------------------
@@ -350,24 +345,6 @@ def test_resilience_off_is_bit_identical():
         return asdict(deployment.run_level(16, duration=2.0, warmup=0.5))
 
     assert run(None) == run(ResilienceConfig.disabled())
-
-
-# -- the committed gray-failure plans -----------------------------------------
-
-def test_committed_gray_plan_json_matches_builders():
-    """experiments/gray_failures.json is the builders' output verbatim,
-    so the CI smoke replays exactly what the code would generate."""
-    with open(os.path.join(EXPERIMENTS, "gray_failures.json"),
-              encoding="utf-8") as handle:
-        committed = json.load(handle)
-    web_nodes = [f"web-{i}" for i in range(5)]
-    job_nodes = [f"edison-slave-{i}" for i in range(3)]
-    assert FaultPlan.from_dict(committed["web"]) == web_gray_plan(web_nodes)
-    assert FaultPlan.from_dict(committed["job"]) == job_gray_plan(job_nodes)
-    with pytest.raises(ValueError):
-        web_gray_plan(web_nodes[:4])
-    with pytest.raises(ValueError):
-        job_gray_plan(job_nodes[:2])
 
 
 # -- mitigations under gray faults (integration) ------------------------------
